@@ -1,6 +1,6 @@
 # Convenience targets for the TASTE reproduction workspace.
 
-.PHONY: verify build test clippy crash-resume train-resume repro infer-bench overload-sweep kernel-bench batch-bench swap-bench
+.PHONY: verify build test clippy crash-resume train-resume repro overload-sweep swap-bench perf-smoke
 
 # The one gate every change must pass.
 verify:
@@ -29,24 +29,20 @@ train-resume:
 repro:
 	TASTE_REPRO_SCALE=quick cargo run -p taste-bench --release --bin repro -- all
 
-# Quick-scale serving-backend benchmark (tape vs tape-free throughput).
-infer-bench:
-	TASTE_REPRO_SCALE=quick cargo run -p taste-bench --release --bin repro -- infer_bench
-
 # Quick-scale overload sweep (goodput/shedding at 0.5x-4x offered load).
 overload-sweep:
 	TASTE_REPRO_SCALE=quick cargo run -p taste-bench --release --bin repro -- overload_sweep
-
-# Quick-scale compute-kernel benchmark (GFLOP/s per variant + serving deltas).
-kernel-bench:
-	TASTE_REPRO_SCALE=quick cargo run -p taste-bench --release --bin repro -- kernel_bench
-
-# Quick-scale micro-batched serving benchmark (cols/sec by batch size x
-# kernel width, parity-gated; writes results/BENCH_batching.json).
-batch-bench:
-	cargo run -p taste-bench --release --bin repro -- batch_bench --smoke
 
 # Quick-scale hot-reload benchmark (registry publish/load, swap latency,
 # canary overhead; writes results/BENCH_swap.json).
 swap-bench:
 	cargo run -p taste-bench --release --bin repro -- swap_bench --smoke
+
+# The benchmark under perf/ (its own offline workspace) against the
+# current crates: build, its tests, and one traced smoke round. Fails when
+# a refactor breaks the API perf/README.md pins.
+PERF = --offline --manifest-path perf/Cargo.toml
+perf-smoke:
+	cargo build --release $(PERF)
+	cargo test $(PERF) --workspace
+	cargo run --release --quiet $(PERF) --bin perf -- run --workload wiki_local --smoke --seconds 5 --trace 1

@@ -15,7 +15,7 @@ use taste_db::LatencyProfile;
 use taste_framework::{TasteConfig, TasteEngine};
 use taste_model::features::NONMETA_DIM;
 use taste_model::prepare::TableChunk;
-use taste_model::{Adtd, ModelConfig};
+use taste_model::{Adtd, Inferencer, ModelConfig};
 use taste_tokenizer::{ColumnContent, Tokenizer, VocabBuilder};
 
 fn tokenizer() -> Tokenizer {
@@ -44,16 +44,17 @@ fn bench_latent_cache(c: &mut Criterion) {
     let contents: Vec<Option<ColumnContent>> = (0..6)
         .map(|_| Some(ColumnContent { cells: vec!["alpha".into(), "beta".into(), "alpha".into()] }))
         .collect();
-    let cached = model.encode_meta(&ch);
+    let mut inf = Inferencer::default();
+    let cached = inf.encode_meta(&model, &ch);
 
     let mut group = c.benchmark_group("latent_cache");
     group.bench_function("p2_with_cached_meta_latents", |b| {
-        b.iter(|| black_box(model.predict_content(&cached, &contents, &ch.nonmeta)))
+        b.iter(|| black_box(inf.predict_content(&model, &cached, &contents, &ch.nonmeta)))
     });
     group.bench_function("p2_recomputing_meta_tower", |b| {
         b.iter(|| {
-            let enc = model.encode_meta(&ch);
-            black_box(model.predict_content(&enc, &contents, &ch.nonmeta))
+            let enc = inf.encode_meta(&model, &ch);
+            black_box(inf.predict_content(&model, &enc, &contents, &ch.nonmeta))
         })
     });
     group.finish();

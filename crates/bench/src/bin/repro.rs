@@ -19,7 +19,7 @@ fn main() {
     }
     if args.is_empty() {
         eprintln!(
-            "usage: repro [--smoke] [table2|fig4|table3|table4|fig5|fig6|fig7|fig8|fault_sweep|overload_sweep|crash_resume|train_resume|infer_bench|kernel_bench|batch_bench|swap_bench|all]..."
+            "usage: repro [--smoke] [table2|fig4|table3|table4|fig5|fig6|fig7|fig8|fault_sweep|overload_sweep|crash_resume|train_resume|swap_bench|all]..."
         );
         std::process::exit(2);
     }
@@ -39,9 +39,6 @@ fn main() {
             "overload_sweep" => experiments::overload_sweep(&scale),
             "crash_resume" => experiments::crash_resume(&scale),
             "train_resume" => experiments::train_resume(&scale),
-            "infer_bench" => experiments::infer_bench(&scale),
-            "kernel_bench" => experiments::kernel_bench(&scale),
-            "batch_bench" => experiments::batch_bench(&scale),
             "swap_bench" => experiments::swap_bench(&scale),
             "all" => experiments::all(&scale),
             other => {

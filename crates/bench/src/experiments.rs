@@ -21,9 +21,7 @@ use taste_framework::{
     evaluate_report, DetectionReport, HardeningConfig, OverloadConfig, RetryConfig, TasteConfig,
     TasteEngine,
 };
-use taste_model::prepare::{training_inputs, ModelInput};
-use taste_model::{Adtd, ExecMode, Inferencer};
-use taste_tokenizer::ColumnContent;
+use taste_model::Adtd;
 
 fn run_taste(model: &Arc<Adtd>, split: &LoadedSplit, cfg: TasteConfig) -> Result<DetectionReport> {
     let engine = TasteEngine::new(Arc::clone(model), cfg)?;
@@ -782,588 +780,6 @@ pub fn train_resume(scale: &Scale) -> Result<()> {
     Ok(())
 }
 
-/// Serving-backend benchmark — P1/P2 inference throughput (columns/sec)
-/// of the tape-free executor against the recording tape on identical
-/// inputs, plus an end-to-end parity check between the two backends.
-///
-/// This measures raw model serving (no database, no scheduler): every
-/// chunk of the SynthWiki test split is pushed through `encode_meta` +
-/// `predict_meta` (P1) and, over cached encodings with every column
-/// scanned, `predict_content` (P2). The same long-lived [`Inferencer`]
-/// serves all chunks of a backend's pass, so the tape-free numbers
-/// reflect steady-state buffer reuse exactly as in the engine's worker
-/// threads.
-pub fn infer_bench(scale: &Scale) -> Result<()> {
-    let bundle = build_bundle(DatasetKind::Wiki, scale)?;
-    let model = models::taste_model(&bundle, scale, false, "plain")?;
-    let cfg = TasteConfig { l: bundle.kind.default_l(), ..TasteConfig::default() };
-    let ntypes = bundle.test_fast.ntypes;
-    let inputs: Vec<ModelInput> = bundle
-        .corpus
-        .split_tables(Split::Test)
-        .into_iter()
-        .flat_map(|t| training_inputs(t, ntypes, cfg.l, cfg.m, cfg.n, false))
-        .collect();
-    if inputs.is_empty() {
-        return Err(TasteError::invalid("test split produced no model inputs"));
-    }
-    let cols: usize = inputs.iter().map(|i| i.chunk.col_texts.len()).sum();
-    let repeats = scale.timing_runs.max(1);
-    let contents: Vec<Vec<Option<ColumnContent>>> = inputs
-        .iter()
-        .map(|inp| inp.contents.iter().cloned().map(Some).collect())
-        .collect();
-
-    struct BackendRun {
-        p1_s: f64,
-        p2_s: f64,
-        p1_preds: Vec<Vec<Vec<f32>>>,
-        p2_preds: Vec<Vec<Option<Vec<f32>>>>,
-    }
-
-    let run_backend = |mode: ExecMode| -> BackendRun {
-        let mut inf = Inferencer::new(mode);
-        // Warm pass: sizes the executor's arena so the timed passes
-        // measure steady-state serving; its encodings feed P2 below.
-        let encs: Vec<_> = inputs.iter().map(|inp| inf.encode_meta(&model, &inp.chunk)).collect();
-
-        let t0 = Instant::now();
-        let mut p1_preds = Vec::new();
-        for _ in 0..repeats {
-            p1_preds = inputs
-                .iter()
-                .map(|inp| {
-                    let enc = inf.encode_meta(&model, &inp.chunk);
-                    inf.predict_meta(&model, &enc, &inp.chunk.nonmeta)
-                })
-                .collect();
-        }
-        let p1_s = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let mut p2_preds = Vec::new();
-        for _ in 0..repeats {
-            p2_preds = inputs
-                .iter()
-                .zip(&encs)
-                .zip(&contents)
-                .map(|((inp, enc), cont)| inf.predict_content(&model, enc, cont, &inp.chunk.nonmeta))
-                .collect();
-        }
-        let p2_s = t0.elapsed().as_secs_f64();
-        BackendRun { p1_s, p2_s, p1_preds, p2_preds }
-    };
-
-    let taped = run_backend(ExecMode::Taped);
-    let free = run_backend(ExecMode::TapeFree);
-
-    // Backend parity on every probability the bench produced.
-    let mut max_diff = 0f32;
-    for (a, b) in taped.p1_preds.iter().flatten().zip(free.p1_preds.iter().flatten()) {
-        for (x, y) in a.iter().zip(b) {
-            max_diff = max_diff.max((x - y).abs());
-        }
-    }
-    for (a, b) in taped.p2_preds.iter().flatten().zip(free.p2_preds.iter().flatten()) {
-        match (a, b) {
-            (Some(a), Some(b)) => {
-                for (x, y) in a.iter().zip(b) {
-                    max_diff = max_diff.max((x - y).abs());
-                }
-            }
-            (None, None) => {}
-            _ => return Err(TasteError::invalid("backends disagree on which columns have P2 verdicts")),
-        }
-    }
-
-    let timed_cols = (cols * repeats) as f64;
-    let mut rows = Vec::new();
-    for (name, run) in [("tape (training executor)", &taped), ("tape-free (serving executor)", &free)] {
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.0}", timed_cols / run.p1_s),
-            format!("{:.0}", timed_cols / run.p2_s),
-            format!("{:.3}s", run.p1_s),
-            format!("{:.3}s", run.p2_s),
-        ]);
-    }
-    let p1_speedup = taped.p1_s / free.p1_s;
-    let p2_speedup = taped.p2_s / free.p2_s;
-    rows.push(vec![
-        "speedup".to_string(),
-        format!("{p1_speedup:.2}x"),
-        format!("{p2_speedup:.2}x"),
-        String::new(),
-        String::new(),
-    ]);
-    print_table(
-        "Serving backends: inference throughput (SynthWiki test split)",
-        &["backend", "P1 cols/s", "P2 cols/s", "P1 time", "P2 time"],
-        &rows,
-    );
-    println!("backend parity: max |Δp| = {max_diff:.2e} over {cols} columns x {repeats} runs");
-    write_json(
-        "BENCH_infer",
-        &json!({
-            "dataset": DatasetKind::Wiki.label(),
-            "chunks": inputs.len(),
-            "columns": cols,
-            "repeats": repeats,
-            "p1": {
-                "tape_s": taped.p1_s, "tape_free_s": free.p1_s,
-                "tape_cols_per_s": timed_cols / taped.p1_s,
-                "tape_free_cols_per_s": timed_cols / free.p1_s,
-                "speedup": p1_speedup,
-            },
-            "p2": {
-                "tape_s": taped.p2_s, "tape_free_s": free.p2_s,
-                "tape_cols_per_s": timed_cols / taped.p2_s,
-                "tape_free_cols_per_s": timed_cols / free.p2_s,
-                "speedup": p2_speedup,
-            },
-            "parity_max_abs_diff": max_diff,
-        }),
-    );
-    if max_diff > 1e-5 {
-        return Err(TasteError::invalid("tape and tape-free predictions diverged beyond 1e-5"));
-    }
-    Ok(())
-}
-
-/// Compute-kernel benchmark — GFLOP/s of each kernel variant on the
-/// encoder's hot matmul shapes, plus end-to-end P1/P2 serving
-/// throughput at kernel widths 1 vs 4 with a bitwise parity check.
-///
-/// The variant ladder per shape: the pre-vectorization scalar kernel
-/// (k-outer axpy with the `a == 0.0` skip, preserved here so the delta
-/// is measured against what `matmul_into` actually used to run), the
-/// 8-wide lane kernel, the packed-panel kernel, the packed kernel with
-/// fused bias + GELU, and the lane kernel at 2 and 4 row-parallel
-/// threads. Every variant's output is asserted equal to the scalar
-/// reference before its timing is reported.
-pub fn kernel_bench(scale: &Scale) -> Result<()> {
-    use taste_nn::kernels::{self, Act, PackedB};
-    use taste_nn::Matrix;
-
-    // The pre-vectorization matmul kernel, verbatim.
-    fn scalar_reference(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        for i in 0..a.rows() {
-            let orow = out.row_slice_mut(i);
-            orow.iter_mut().for_each(|v| *v = 0.0);
-            for (kk, &av) in a.row_slice(i).iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in orow.iter_mut().zip(b.row_slice(kk)) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-
-    fn fill(rows: usize, cols: usize, salt: u64) -> Matrix {
-        let data = (0..rows * cols)
-            .map(|i| {
-                let h = (i as u64).wrapping_add(salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                let h = h ^ (h >> 31);
-                let h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                (h >> 40) as f32 / (1u64 << 24) as f32 - 0.5
-            })
-            .collect();
-        Matrix::from_vec(rows, cols, data)
-    }
-
-    // The hot shapes of the paper-scale encoder (L=4, H=312, I=1200)
-    // and the classifier heads, at a typical packed-sequence length.
-    let shapes: [(&str, usize, usize, usize); 4] = [
-        ("attn proj 64x312x312", 64, 312, 312),
-        ("ffn up 64x312x1200", 64, 312, 1200),
-        ("ffn down 64x1200x312", 64, 1200, 312),
-        ("head 32x326x64", 32, 326, 64),
-    ];
-
-    let mut rows = Vec::new();
-    let mut shape_results = Vec::new();
-    for (name, m, k, n) in shapes {
-        let a = fill(m, k, 1);
-        let b = fill(k, n, 2);
-        let bias = fill(1, n, 3);
-        let packed = PackedB::pack(&b);
-        let flops = 2.0 * (m * k * n) as f64;
-        // Size each measurement to a fixed work volume so small shapes
-        // get proportionally more iterations.
-        let iters = ((1u64 << 28) as f64 / flops).ceil() as usize * scale.timing_runs.max(1);
-
-        let mut reference = Matrix::zeros(m, n);
-        scalar_reference(&a, &b, &mut reference);
-
-        let mut out = Matrix::zeros(m, n);
-        let mut time_variant = |f: &mut dyn FnMut(&mut Matrix)| -> f64 {
-            f(&mut out); // warm + correctness outside the timed loop
-            assert_eq!(out, reference, "kernel variant diverged from the scalar reference");
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f(&mut out);
-            }
-            flops * iters as f64 / t0.elapsed().as_secs_f64() / 1e9
-        };
-
-        let scalar = time_variant(&mut |o| scalar_reference(&a, &b, o));
-        let lane = time_variant(&mut |o| kernels::matmul_into_mt(&a, &b, 1, o));
-        let packed_g = time_variant(&mut |o| kernels::matmul_packed_into(&a, &packed, None, Act::Ident, 1, o));
-        let lane_t2 = time_variant(&mut |o| kernels::matmul_into_mt(&a, &b, 2, o));
-        let lane_t4 = time_variant(&mut |o| kernels::matmul_into_mt(&a, &b, 4, o));
-        // The fused kernel computes more (bias + GELU) so it is timed
-        // against its own composed reference, not the plain matmul.
-        let mut fused_ref = reference.clone();
-        for r in 0..fused_ref.rows() {
-            for (v, &bv) in fused_ref.row_slice_mut(r).iter_mut().zip(bias.as_slice()) {
-                let x = *v + bv;
-                *v = Act::Gelu.apply(x);
-            }
-        }
-        let mut fused_out = Matrix::zeros(m, n);
-        kernels::matmul_packed_into(&a, &packed, Some(&bias), Act::Gelu, 1, &mut fused_out);
-        assert_eq!(fused_out, fused_ref, "fused bias+GELU diverged from composed ops");
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            kernels::matmul_packed_into(&a, &packed, Some(&bias), Act::Gelu, 1, &mut fused_out);
-        }
-        let fused = flops * iters as f64 / t0.elapsed().as_secs_f64() / 1e9;
-
-        rows.push(vec![
-            name.to_string(),
-            format!("{scalar:.2}"),
-            format!("{lane:.2}"),
-            format!("{packed_g:.2}"),
-            format!("{fused:.2}"),
-            format!("{lane_t2:.2}"),
-            format!("{lane_t4:.2}"),
-            format!("{:.2}x", lane / scalar),
-        ]);
-        shape_results.push(json!({
-            "shape": name, "m": m, "k": k, "n": n, "iters": iters,
-            "gflops": {
-                "scalar_reference": scalar,
-                "lane": lane,
-                "packed": packed_g,
-                "packed_fused_bias_gelu": fused,
-                "lane_threads2": lane_t2,
-                "lane_threads4": lane_t4,
-            },
-            "lane_speedup_vs_scalar": lane / scalar,
-            "packed_speedup_vs_scalar": packed_g / scalar,
-        }));
-    }
-    print_table(
-        "Kernel GFLOP/s by variant (single core unless noted)",
-        &["shape", "scalar", "lane", "packed", "fused", "lane t=2", "lane t=4", "lane/scalar"],
-        &rows,
-    );
-
-    // End-to-end serving deltas: P1/P2 columns/sec at kernel width 1
-    // vs 4, over the SynthWiki test split, with bitwise parity.
-    let bundle = build_bundle(DatasetKind::Wiki, scale)?;
-    let model = models::taste_model(&bundle, scale, false, "plain")?;
-    let cfg = TasteConfig { l: bundle.kind.default_l(), ..TasteConfig::default() };
-    let ntypes = bundle.test_fast.ntypes;
-    let inputs: Vec<ModelInput> = bundle
-        .corpus
-        .split_tables(Split::Test)
-        .into_iter()
-        .flat_map(|t| training_inputs(t, ntypes, cfg.l, cfg.m, cfg.n, false))
-        .collect();
-    if inputs.is_empty() {
-        return Err(TasteError::invalid("test split produced no model inputs"));
-    }
-    let cols: usize = inputs.iter().map(|i| i.chunk.col_texts.len()).sum();
-    let repeats = scale.timing_runs.max(1);
-    let contents: Vec<Vec<Option<ColumnContent>>> = inputs
-        .iter()
-        .map(|inp| inp.contents.iter().cloned().map(Some).collect())
-        .collect();
-
-    struct ThreadRun {
-        p1_s: f64,
-        p2_s: f64,
-        p1_preds: Vec<Vec<Vec<f32>>>,
-        p2_preds: Vec<Vec<Option<Vec<f32>>>>,
-    }
-    let run_width = |threads: usize| -> ThreadRun {
-        let mut inf = Inferencer::with_kernel_threads(ExecMode::TapeFree, threads);
-        let encs: Vec<_> = inputs.iter().map(|inp| inf.encode_meta(&model, &inp.chunk)).collect();
-        let t0 = Instant::now();
-        let mut p1_preds = Vec::new();
-        for _ in 0..repeats {
-            p1_preds = inputs
-                .iter()
-                .map(|inp| {
-                    let enc = inf.encode_meta(&model, &inp.chunk);
-                    inf.predict_meta(&model, &enc, &inp.chunk.nonmeta)
-                })
-                .collect();
-        }
-        let p1_s = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let mut p2_preds = Vec::new();
-        for _ in 0..repeats {
-            p2_preds = inputs
-                .iter()
-                .zip(&encs)
-                .zip(&contents)
-                .map(|((inp, enc), cont)| inf.predict_content(&model, enc, cont, &inp.chunk.nonmeta))
-                .collect();
-        }
-        ThreadRun { p1_s, p2_s: t0.elapsed().as_secs_f64(), p1_preds, p2_preds }
-    };
-    let one = run_width(1);
-    let four = run_width(4);
-    if one.p1_preds != four.p1_preds || one.p2_preds != four.p2_preds {
-        return Err(TasteError::invalid("kernel_threads=4 predictions are not bit-identical to kernel_threads=1"));
-    }
-
-    let timed_cols = (cols * repeats) as f64;
-    print_table(
-        "Serving throughput by kernel width (tape-free, SynthWiki test split)",
-        &["kernel_threads", "P1 cols/s", "P2 cols/s"],
-        &[
-            vec!["1".into(), format!("{:.0}", timed_cols / one.p1_s), format!("{:.0}", timed_cols / one.p2_s)],
-            vec!["4".into(), format!("{:.0}", timed_cols / four.p1_s), format!("{:.0}", timed_cols / four.p2_s)],
-            vec![
-                "speedup".into(),
-                format!("{:.2}x", one.p1_s / four.p1_s),
-                format!("{:.2}x", one.p2_s / four.p2_s),
-            ],
-        ],
-    );
-    println!("thread parity: kernel_threads 1 vs 4 predictions bit-identical over {cols} columns");
-
-    write_json(
-        "BENCH_kernels",
-        &json!({
-            "shapes": shape_results,
-            "serving": {
-                "dataset": DatasetKind::Wiki.label(),
-                "chunks": inputs.len(),
-                "columns": cols,
-                "repeats": repeats,
-                "threads1": { "p1_s": one.p1_s, "p2_s": one.p2_s,
-                               "p1_cols_per_s": timed_cols / one.p1_s,
-                               "p2_cols_per_s": timed_cols / one.p2_s },
-                "threads4": { "p1_s": four.p1_s, "p2_s": four.p2_s,
-                               "p1_cols_per_s": timed_cols / four.p1_s,
-                               "p2_cols_per_s": timed_cols / four.p2_s },
-                "p1_speedup": one.p1_s / four.p1_s,
-                "p2_speedup": one.p2_s / four.p2_s,
-                "bitwise_parity": true,
-            },
-        }),
-    );
-    Ok(())
-}
-
-/// Micro-batched serving benchmark — P1/P2 columns/sec as a function of
-/// the micro-batch size (table chunks fused per forward pass) at kernel
-/// widths 1 and 4, with a bitwise parity gate against the per-chunk
-/// serving path.
-///
-/// This measures the payoff of the engine's cross-table
-/// [`taste_framework::BatchPlanner`]: fused passes amortize per-call
-/// executor dispatch and reuse packed weights across every column in
-/// the batch, while block-diagonal attention keeps each chunk's rows
-/// bit-identical to what it would get alone.
-pub fn batch_bench(scale: &Scale) -> Result<()> {
-    use taste_model::{ContentBatchItem, MetaEncoding, TableChunk};
-
-    let bundle = build_bundle(DatasetKind::Wiki, scale)?;
-    let model = models::taste_model(&bundle, scale, false, "plain")?;
-    let cfg = TasteConfig { l: bundle.kind.default_l(), ..TasteConfig::default() };
-    let ntypes = bundle.test_fast.ntypes;
-    let inputs: Vec<ModelInput> = bundle
-        .corpus
-        .split_tables(Split::Test)
-        .into_iter()
-        .flat_map(|t| training_inputs(t, ntypes, cfg.l, cfg.m, cfg.n, false))
-        .collect();
-    if inputs.is_empty() {
-        return Err(TasteError::invalid("test split produced no model inputs"));
-    }
-    let cols: usize = inputs.iter().map(|i| i.chunk.col_texts.len()).sum();
-    let repeats = scale.timing_runs.max(1);
-    let contents: Vec<Vec<Option<ColumnContent>>> = inputs
-        .iter()
-        .map(|inp| inp.contents.iter().cloned().map(Some).collect())
-        .collect();
-
-    // Parity oracle: the per-chunk serving path at kernel width 1.
-    let (ref_p1, ref_p2) = {
-        let mut inf = Inferencer::new(ExecMode::TapeFree);
-        let encs: Vec<MetaEncoding> = inputs.iter().map(|inp| inf.encode_meta(&model, &inp.chunk)).collect();
-        let p1: Vec<Vec<Vec<f32>>> = inputs
-            .iter()
-            .zip(&encs)
-            .map(|(inp, enc)| inf.predict_meta(&model, enc, &inp.chunk.nonmeta))
-            .collect();
-        let p2: Vec<Vec<Option<Vec<f32>>>> = inputs
-            .iter()
-            .zip(&encs)
-            .zip(&contents)
-            .map(|((inp, enc), cont)| inf.predict_content(&model, enc, cont, &inp.chunk.nonmeta))
-            .collect();
-        (p1, p2)
-    };
-
-    struct Point {
-        threads: usize,
-        batch: usize,
-        p1_s: f64,
-        p2_s: f64,
-    }
-    let mut points: Vec<Point> = Vec::new();
-    let batch_sizes = [1usize, 2, 4, 8, 16];
-    // Min-of-k over interleaved passes: every repetition visits all
-    // batch sizes back to back, so load drift on the host disturbs each
-    // point alike, and the minimum pass is the least-disturbed run.
-    let reps = repeats.max(3);
-    for threads in [1usize, 4] {
-        let mut inf = Inferencer::with_kernel_threads(ExecMode::TapeFree, threads);
-
-        // Untimed warm + parity pass per batch size: every point must
-        // reproduce the per-chunk oracle bit for bit before it is
-        // measured. The encodings feed the timed P2 loops below.
-        let mut encs: Vec<MetaEncoding> = Vec::with_capacity(inputs.len());
-        for &batch in &batch_sizes {
-            encs.clear();
-            let mut p1_preds = Vec::new();
-            for g in inputs.chunks(batch) {
-                let chunks: Vec<&TableChunk> = g.iter().map(|i| &i.chunk).collect();
-                let encs_g = inf.encode_meta_batch(&model, &chunks);
-                let items: Vec<(&MetaEncoding, &[Vec<f32>])> = g
-                    .iter()
-                    .zip(&encs_g)
-                    .map(|(i, e)| (e, i.chunk.nonmeta.as_slice()))
-                    .collect();
-                p1_preds.extend(inf.predict_meta_batch(&model, &items));
-                encs.extend(encs_g);
-            }
-            let mut p2_preds = Vec::new();
-            let mut off = 0;
-            for g in inputs.chunks(batch) {
-                let items: Vec<ContentBatchItem<'_>> = g
-                    .iter()
-                    .enumerate()
-                    .map(|(j, i)| (&encs[off + j], contents[off + j].as_slice(), i.chunk.nonmeta.as_slice()))
-                    .collect();
-                p2_preds.extend(inf.predict_content_batch(&model, &items));
-                off += g.len();
-            }
-            if p1_preds != ref_p1 || p2_preds != ref_p2 {
-                return Err(TasteError::invalid(format!(
-                    "batched predictions diverged from the per-chunk path (batch={batch} threads={threads})"
-                )));
-            }
-        }
-
-        let mut p1_min = vec![f64::INFINITY; batch_sizes.len()];
-        let mut p2_min = vec![f64::INFINITY; batch_sizes.len()];
-        for _ in 0..reps {
-            for (bi, &batch) in batch_sizes.iter().enumerate() {
-                let t0 = Instant::now();
-                for g in inputs.chunks(batch) {
-                    let chunks: Vec<&TableChunk> = g.iter().map(|i| &i.chunk).collect();
-                    let encs_g = inf.encode_meta_batch(&model, &chunks);
-                    let items: Vec<(&MetaEncoding, &[Vec<f32>])> = g
-                        .iter()
-                        .zip(&encs_g)
-                        .map(|(i, e)| (e, i.chunk.nonmeta.as_slice()))
-                        .collect();
-                    let _ = inf.predict_meta_batch(&model, &items);
-                }
-                p1_min[bi] = p1_min[bi].min(t0.elapsed().as_secs_f64());
-
-                let t0 = Instant::now();
-                let mut off = 0;
-                for g in inputs.chunks(batch) {
-                    let items: Vec<ContentBatchItem<'_>> = g
-                        .iter()
-                        .enumerate()
-                        .map(|(j, i)| (&encs[off + j], contents[off + j].as_slice(), i.chunk.nonmeta.as_slice()))
-                        .collect();
-                    let _ = inf.predict_content_batch(&model, &items);
-                    off += g.len();
-                }
-                p2_min[bi] = p2_min[bi].min(t0.elapsed().as_secs_f64());
-            }
-        }
-        for (bi, &batch) in batch_sizes.iter().enumerate() {
-            points.push(Point { threads, batch, p1_s: p1_min[bi], p2_s: p2_min[bi] });
-        }
-    }
-
-    let timed_cols = cols as f64;
-    let base_p2 = |threads: usize| {
-        points
-            .iter()
-            .find(|p| p.threads == threads && p.batch == 1)
-            .map(|p| p.p2_s)
-            .expect("batch=1 point")
-    };
-    let mut rows = Vec::new();
-    let mut point_json = Vec::new();
-    for p in &points {
-        let p2_speedup = base_p2(p.threads) / p.p2_s;
-        rows.push(vec![
-            p.threads.to_string(),
-            p.batch.to_string(),
-            format!("{:.0}", timed_cols / p.p1_s),
-            format!("{:.0}", timed_cols / p.p2_s),
-            format!("{p2_speedup:.2}x"),
-        ]);
-        point_json.push(json!({
-            "kernel_threads": p.threads,
-            "batch_chunks": p.batch,
-            "p1_s": p.p1_s,
-            "p2_s": p.p2_s,
-            "p1_cols_per_s": timed_cols / p.p1_s,
-            "p2_cols_per_s": timed_cols / p.p2_s,
-            "p2_speedup_vs_batch1": p2_speedup,
-        }));
-    }
-    print_table(
-        "Micro-batched serving throughput (tape-free, SynthWiki test split)",
-        &["kernel_threads", "batch (chunks)", "P1 cols/s", "P2 cols/s", "P2 vs batch=1"],
-        &rows,
-    );
-    println!("batch parity: every point bit-identical to the per-chunk path over {cols} columns");
-    println!(
-        "host parallelism: {} (kernel_threads>1 and large-batch fusion only pay off with real cores)",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    );
-
-    let p2_speedup_at_8 = points
-        .iter()
-        .filter(|p| p.batch >= 8)
-        .map(|p| base_p2(p.threads) / p.p2_s)
-        .fold(0.0f64, f64::max);
-    println!("best P2 speedup at batch >= 8: {p2_speedup_at_8:.2}x vs batch=1");
-
-    write_json(
-        "BENCH_batching",
-        &json!({
-            "dataset": DatasetKind::Wiki.label(),
-            "chunks": inputs.len(),
-            "columns": cols,
-            "timing": format!("min over {reps} interleaved passes"),
-            "host_parallelism": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            "batch_sizes": batch_sizes,
-            "points": point_json,
-            "p2_speedup_at_batch8_or_more": p2_speedup_at_8,
-            "bitwise_parity": true,
-        }),
-    );
-    Ok(())
-}
-
 /// Hot model reload benchmark — registry publish/load latency, swap
 /// visibility latency (offer → promoted incumbent), pin overhead on the
 /// serving path, and the end-to-end throughput cost of an active canary
@@ -1558,9 +974,6 @@ pub fn all(scale: &Scale) -> Result<()> {
     overload_sweep(scale)?;
     crash_resume(scale)?;
     train_resume(scale)?;
-    infer_bench(scale)?;
-    kernel_bench(scale)?;
-    batch_bench(scale)?;
     swap_bench(scale)?;
     Ok(())
 }

@@ -9,31 +9,16 @@ use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use taste_core::{Result, TasteError};
 use taste_db::ScanMethod;
-use taste_model::{ExecMode, Inferencer};
+use taste_model::Inferencer;
 
-/// Which execution backend serves model predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ExecBackend {
-    /// Tape-free eager evaluation into per-worker reusable buffers
-    /// (the serving default).
-    #[default]
-    TapeFree,
-    /// The recording autodiff tape, as training uses — kept selectable
-    /// so A/B parity runs can compare backends on identical batches.
-    Tape,
-}
-
-/// Execution-backend configuration for the serving path.
+/// Execution configuration for the serving path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutionConfig {
-    /// Backend used by `infer_phase1` / `infer_phase2`.
-    pub backend: ExecBackend,
-    /// Row-parallel kernel width inside each worker's tape-free
-    /// executor. `1` (the default) keeps kernels single-threaded; higher
-    /// values split large matmuls across a shared persistent pool.
-    /// Threaded kernels are bit-identical to single-threaded ones, so
-    /// this knob never changes detection results. Ignored by the tape
-    /// backend.
+    /// Row-parallel kernel width inside each worker's executor. `1` (the
+    /// default) keeps kernels single-threaded; higher values split large
+    /// matmuls across a shared persistent pool. Threaded kernels are
+    /// bit-identical to single-threaded ones, so this knob never changes
+    /// detection results.
     #[serde(default = "default_kernel_threads")]
     pub kernel_threads: usize,
 }
@@ -44,20 +29,14 @@ fn default_kernel_threads() -> usize {
 
 impl Default for ExecutionConfig {
     fn default() -> Self {
-        ExecutionConfig { backend: ExecBackend::default(), kernel_threads: default_kernel_threads() }
+        ExecutionConfig { kernel_threads: default_kernel_threads() }
     }
 }
 
 impl ExecutionConfig {
-    /// Builds a worker-local [`Inferencer`] for the configured backend.
+    /// Builds a worker-local [`Inferencer`].
     pub fn inferencer(&self) -> Inferencer {
-        Inferencer::with_kernel_threads(
-            match self.backend {
-                ExecBackend::TapeFree => ExecMode::TapeFree,
-                ExecBackend::Tape => ExecMode::Taped,
-            },
-            self.kernel_threads,
-        )
+        Inferencer::with_kernel_threads(self.kernel_threads)
     }
 
     /// Validates the execution invariants.
@@ -239,7 +218,7 @@ pub struct TasteConfig {
     /// panic/stall fault-injection hooks.
     #[serde(default)]
     pub hardening: HardeningConfig,
-    /// Serving execution backend (tape-free by default).
+    /// Serving execution (kernel width).
     #[serde(default)]
     pub execution: ExecutionConfig,
     /// Overload control: bounded admission, deadline-aware load
@@ -421,20 +400,25 @@ mod tests {
     }
 
     #[test]
-    fn execution_config_defaults_to_tape_free_and_maps_modes() {
-        let c = TasteConfig::default();
-        assert_eq!(c.execution.backend, ExecBackend::TapeFree);
-        assert_eq!(c.execution.inferencer().mode(), ExecMode::TapeFree);
-        let ab = ExecutionConfig { backend: ExecBackend::Tape, ..Default::default() };
-        assert_eq!(ab.inferencer().mode(), ExecMode::Taped);
-        // Configs serialized before the backend split deserialize to the
-        // tape-free default.
-        let legacy = serde_json::to_value(TasteConfig::default()).unwrap();
-        let mut obj = legacy.as_object().unwrap().clone();
-        obj.remove("execution");
-        let restored: TasteConfig =
-            serde_json::from_value(serde_json::Value::Object(obj)).unwrap();
-        assert_eq!(restored.execution.backend, ExecBackend::TapeFree);
+    fn configs_stored_with_the_removed_backend_knob_still_load() {
+        // `execution.backend` is gone; serde skips the unknown key, so a
+        // config written by an earlier build (with either value, or with
+        // no `execution` block at all) loads as the default.
+        let mut obj = serde_json::to_value(TasteConfig::default()).unwrap().as_object().unwrap().clone();
+        for stored in [
+            Some(r#"{"backend": "TapeFree", "kernel_threads": 1}"#),
+            Some(r#"{"backend": "Tape", "kernel_threads": 1}"#),
+            None,
+        ] {
+            match stored {
+                Some(json) => obj.insert("execution".into(), serde_json::from_str(json).unwrap()),
+                None => obj.remove("execution"),
+            };
+            let restored: TasteConfig =
+                serde_json::from_value(serde_json::Value::Object(obj.clone())).unwrap();
+            assert_eq!(restored.execution, ExecutionConfig::default(), "stored: {stored:?}");
+            assert!(restored.validate().is_ok());
+        }
     }
 
     #[test]
@@ -442,11 +426,11 @@ mod tests {
         let c = TasteConfig::default();
         assert_eq!(c.execution.kernel_threads, 1);
         assert_eq!(c.execution.inferencer().kernel_threads(), 1);
-        let wide = ExecutionConfig { kernel_threads: 4, ..Default::default() };
+        let wide = ExecutionConfig { kernel_threads: 4 };
         assert_eq!(wide.inferencer().kernel_threads(), 4);
         assert!(wide.validate().is_ok());
         // Zero is rejected both directly and through TasteConfig.
-        let zero = ExecutionConfig { kernel_threads: 0, ..Default::default() };
+        let zero = ExecutionConfig { kernel_threads: 0 };
         assert!(zero.validate().is_err());
         let cfg = TasteConfig { execution: zero, ..Default::default() };
         assert!(cfg.validate().is_err());

@@ -77,8 +77,8 @@ use crate::report::{BatchingSummary, DetectionReport, OverloadSummary, Resilienc
 use crate::retry::{acquire_with_retry, connect_with_retry, run_with_retry, CircuitBreaker};
 use crate::rollout::{CanaryObservation, Pinned, RolloutController};
 use crate::stages::{
-    infer_phase1, infer_phase1_batched, infer_phase2, infer_phase2_batched, prep_phase1,
-    prep_phase2, shed_finals, P1Infer, P1Item, P1Prep, P2Item, P2Prep,
+    infer_phase1, infer_phase2, prep_phase1, prep_phase2, shed_finals, P1Infer, P1Item, P1Prep,
+    P2Item, P2Prep,
 };
 use crate::watchdog::{CancelReason, CancelToken, StageClocks, TableDeadlines, Wakeup, Watchdog};
 use crossbeam::channel::{unbounded, Sender};
@@ -1064,7 +1064,7 @@ fn run_batched_p1(members: &[(usize, Shared)], ctx: &BatchCtx, inf: &mut Inferen
                 .iter()
                 .map(|&i| P1Item { tid: live[i].tid, prep: &live[i].prep })
                 .collect();
-            let out = infer_phase1_batched(model, &ctx.cfg, &items, Some(&ctx.cache), inf);
+            let out = infer_phase1(model, &ctx.cfg, &items, Some(&ctx.cache), inf);
             for (&i, r) in idxs.iter().zip(out) {
                 results[i] = Some(r);
             }
@@ -1177,7 +1177,7 @@ fn run_batched_p2(members: &[(usize, Shared)], ctx: &BatchCtx, inf: &mut Inferen
                     P2Item { tid: m.tid, prep1: &m.prep1, infer1: &m.infer1, prep2: &m.prep2 }
                 })
                 .collect();
-            let out = infer_phase2_batched(model, &ctx.cfg, &items, Some(&ctx.cache), inf);
+            let out = infer_phase2(model, &ctx.cfg, &items, Some(&ctx.cache), inf);
             for (&i, r) in idxs.iter().zip(out) {
                 results[i] = Some(r);
             }
@@ -1507,6 +1507,11 @@ fn execute(
                 st.prep1.as_ref().ok_or_else(|| TasteError::Scheduler("P1Infer before P1Prep".into()))?,
             );
             let pin = pinned_model(ctx, st);
+            // The per-table path is a slice of one.
+            let item = [P1Item { tid: st.tid, prep: &prep }];
+            let mut run_p1 = |model: &Adtd, cache: Option<&LatentCache>| {
+                infer_phase1(model, cfg, &item, cache, inf).pop().expect("one result per item")
+            };
             if pin.canary {
                 // Canary serving: run the candidate AND the incumbent on
                 // the same input — both without touching the latent
@@ -1514,10 +1519,10 @@ fn execute(
                 // and feed the agreement / sentinel / latency gates.
                 let shadow = pin.shadow.clone().expect("canary pins carry their incumbent");
                 let c0 = Instant::now();
-                let cand = infer_phase1(&pin.model, cfg, st.tid, &prep, None, inf);
+                let cand = run_p1(&pin.model, None);
                 let candidate_ms = c0.elapsed().as_secs_f64() * 1e3;
                 let i0 = Instant::now();
-                let inc = infer_phase1(&shadow.model, cfg, st.tid, &prep, None, inf);
+                let inc = run_p1(&shadow.model, None);
                 let incumbent_ms = i0.elapsed().as_secs_f64() * 1e3;
                 let ncols = cand.admitted.len();
                 let agree_cols = (0..ncols)
@@ -1553,7 +1558,7 @@ fn execute(
                     rc.observe_canary(obs);
                 }
             } else {
-                st.infer1 = Some(infer_phase1(&pin.model, cfg, st.tid, &prep, Some(cache), inf));
+                st.infer1 = Some(run_p1(&pin.model, Some(cache)));
             }
         }
         StageKind::P2Prep => {
@@ -1618,9 +1623,8 @@ fn execute(
             // wrote no latents, and reading here could only surface an
             // entry computed by a different model version.
             let cache_opt = if pin.canary { None } else { Some(cache) };
-            st.finals = Some(infer_phase2(
-                &pin.model, cfg, st.tid, &prep1, &infer1, &prep2, cache_opt, inf,
-            ));
+            let item = [P2Item { tid: st.tid, prep1: &prep1, infer1: &infer1, prep2: &prep2 }];
+            st.finals = infer_phase2(&pin.model, cfg, &item, cache_opt, inf).pop();
         }
     }
     Ok(())
@@ -1705,35 +1709,6 @@ mod tests {
             assert_eq!(a.outcome, TableOutcome::Completed);
         }
         assert_eq!(seq.total_columns, pipe.total_columns);
-    }
-
-    #[test]
-    fn detect_batch_verdicts_identical_across_backends() {
-        // The A/B knob: forcing the tape backend through the whole
-        // engine must reproduce the tape-free verdicts exactly, in both
-        // sequential and pipelined modes.
-        use crate::config::{ExecBackend, ExecutionConfig};
-        let (db, ids) = fixture_db(5, LatencyProfile::zero());
-        for pipelining in [false, true] {
-            let base = TasteConfig {
-                pipelining,
-                alpha: 0.0001,
-                beta: 0.9999,
-                ..Default::default()
-            };
-            let taped_cfg = TasteConfig {
-                execution: ExecutionConfig { backend: ExecBackend::Tape, ..Default::default() },
-                ..base
-            };
-            let free = engine(base).detect_batch(&db, &ids).unwrap();
-            let taped = engine(taped_cfg).detect_batch(&db, &ids).unwrap();
-            assert_eq!(free.tables.len(), taped.tables.len());
-            for (a, b) in free.tables.iter().zip(&taped.tables) {
-                assert_eq!(a.table, b.table);
-                assert_eq!(a.admitted, b.admitted, "backends must agree (pipelining={pipelining})");
-                assert_eq!(a.uncertain_columns, b.uncertain_columns);
-            }
-        }
     }
 
     #[test]

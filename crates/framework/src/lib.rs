@@ -66,7 +66,7 @@ pub mod stages;
 pub mod watchdog;
 
 pub use batcher::{BatchItem, BatchPhase, BatchPlanner, FlushReason};
-pub use config::{BatchingConfig, ExecBackend, ExecutionConfig, HardeningConfig, TasteConfig};
+pub use config::{BatchingConfig, ExecutionConfig, HardeningConfig, TasteConfig};
 pub use engine::TasteEngine;
 pub use journal::{JournalRecord, JournalReplay, JournalWriter};
 pub use overload::{Admission, LoadController, OverloadConfig};

@@ -62,56 +62,6 @@ pub fn prep_phase1(conn: &Connection, tid: TableId, cfg: &TasteConfig) -> Result
     Ok(P1Prep { chunks, ncols })
 }
 
-/// P1-S2: metadata-tower inference + threshold classification (§3.2).
-///
-/// Under latent caching (`cfg.caching` and a cache supplied), each
-/// chunk's encoding is stored under `(tid, chunk_index)` for P2 to reuse;
-/// the *w/o caching* variant stores nothing and P2 recomputes.
-///
-/// Model compute runs on `inf`, the calling worker's long-lived
-/// [`Inferencer`] (tape-free by default; see
-/// [`crate::config::ExecutionConfig`]).
-pub fn infer_phase1(
-    model: &Adtd,
-    cfg: &TasteConfig,
-    tid: TableId,
-    prep: &P1Prep,
-    cache: Option<&LatentCache>,
-    inf: &mut Inferencer,
-) -> P1Infer {
-    let mut admitted = Vec::with_capacity(prep.ncols);
-    let mut uncertain = Vec::new();
-    let mut nonfinite = false;
-    for (chunk_idx, chunk) in prep.chunks.iter().enumerate() {
-        let enc = Arc::new(inf.encode_meta(model, chunk));
-        let probs = inf.predict_meta(model, &enc, &chunk.nonmeta);
-        for (j, row) in probs.iter().enumerate() {
-            let ordinal = chunk.ordinals[j];
-            let mut a1 = LabelSet::empty();
-            let mut is_uncertain = false;
-            for (s, &p) in row.iter().enumerate() {
-                nonfinite |= !p.is_finite();
-                if p >= cfg.beta {
-                    a1.insert(TypeId(s as u32));
-                } else if p > cfg.alpha {
-                    is_uncertain = true;
-                }
-            }
-            admitted.push(a1);
-            if is_uncertain && cfg.p2_possible() {
-                uncertain.push(ordinal);
-            }
-        }
-        if cfg.caching {
-            if let Some(cache) = cache {
-                let key: CacheKey = (tid, chunk_idx as u32);
-                cache.put(key, enc);
-            }
-        }
-    }
-    P1Infer { admitted, uncertain, nonfinite }
-}
-
 /// P2-S1: scan the uncertain columns' content (only theirs — columns in
 /// `C \ C_u` are never read, §3.3) and select the first `n` non-empty
 /// values per column.
@@ -164,66 +114,17 @@ pub fn prep_phase2(
     Ok(P2Prep { contents })
 }
 
-/// P2-S2: content-tower inference over the uncertain columns, combining
-/// `A^c = A_1^c` for certain columns and `A^c = A_2^c` for uncertain
-/// ones (§3.3). Returns the final admitted sets per column.
-#[allow(clippy::too_many_arguments)] // the stage's full upstream state
-pub fn infer_phase2(
-    model: &Adtd,
-    cfg: &TasteConfig,
-    tid: TableId,
-    prep1: &P1Prep,
-    infer1: &P1Infer,
-    prep2: &P2Prep,
-    cache: Option<&LatentCache>,
-    inf: &mut Inferencer,
-) -> Vec<LabelSet> {
-    let mut finals = infer1.admitted.clone();
-    if infer1.uncertain.is_empty() {
-        return finals;
-    }
-    let mut col_base = 0usize;
-    for (chunk_idx, chunk) in prep1.chunks.iter().enumerate() {
-        let chunk_contents = &prep2.contents[chunk_idx];
-        let any = chunk_contents.iter().any(Option::is_some);
-        if !any {
-            col_base += chunk.ordinals.len();
-            continue;
-        }
-        // Latent cache path: reuse the P1 encoding when cached, else
-        // recompute the metadata tower (the w/o-caching variant, or a
-        // cache eviction under very large batches).
-        let key: CacheKey = (tid, chunk_idx as u32);
-        let enc: Arc<MetaEncoding> = match cache.and_then(|c| c.get(&key)) {
-            Some(enc) => enc,
-            None => Arc::new(inf.encode_meta(model, chunk)),
-        };
-        let probs = inf.predict_content(model, &enc, chunk_contents, &chunk.nonmeta);
-        for (j, p) in probs.iter().enumerate() {
-            if let Some(row) = p {
-                let a2 = LabelSet::from_iter(
-                    row.iter()
-                        .enumerate()
-                        .filter(|(_, &p)| p >= cfg.p2_threshold)
-                        .map(|(s, _)| TypeId(s as u32)),
-                );
-                finals[col_base + j] = a2;
-            }
-        }
-        col_base += chunk.ordinals.len();
-    }
-    finals
-}
-
-// ---- cross-table micro-batched inference stages ------------------------
+// ---- inference stages ---------------------------------------------------
 //
-// The batched variants run one fused model pass over chunks drawn from
-// many tables and scatter per-table results back in input order. They
-// are bit-identical to looping the per-table functions above: row-wise
-// ops are unchanged under row-stacking and attention is computed
-// block-diagonal per sequence (see `taste_model::Adtd::encode_meta_batched`).
+// Both inference stages take a slice of tables: the per-table engine path
+// passes a slice of one, a micro-batch passes many. Results come back in
+// input order and do not depend on how tables are grouped into calls —
+// row-wise ops are unchanged under row-stacking and attention is
+// block-diagonal per sequence — so "one call with N items" equals "N
+// calls with one item", cache traffic included. Which model body a call
+// runs on is `Inferencer`'s business.
 
-/// One table's P1 inference stage inside a micro-batch.
+/// One table's input to [`infer_phase1`].
 pub struct P1Item<'a> {
     /// The owning table.
     pub tid: TableId,
@@ -231,11 +132,16 @@ pub struct P1Item<'a> {
     pub prep: &'a P1Prep,
 }
 
-/// Batched P1-S2: [`infer_phase1`] over many tables in fused forward
-/// passes. Returns one [`P1Infer`] per item, in input order, each
-/// bit-identical to the per-table call; cache writes are identical too
-/// (same `(tid, chunk_index)` keys, same encodings).
-pub fn infer_phase1_batched(
+/// P1-S2: metadata-tower inference + threshold classification (§3.2),
+/// one [`P1Infer`] per item.
+///
+/// Under latent caching (`cfg.caching` and a cache supplied), each
+/// chunk's encoding is stored under `(tid, chunk_index)` for P2 to reuse;
+/// the *w/o caching* variant stores nothing and P2 recomputes.
+///
+/// Model compute runs on `inf`, the calling worker's long-lived
+/// [`Inferencer`].
+pub fn infer_phase1(
     model: &Adtd,
     cfg: &TasteConfig,
     items: &[P1Item<'_>],
@@ -291,7 +197,7 @@ pub fn infer_phase1_batched(
     out
 }
 
-/// One table's P2 inference stage inside a micro-batch.
+/// One table's input to [`infer_phase2`].
 pub struct P2Item<'a> {
     /// The owning table.
     pub tid: TableId,
@@ -303,7 +209,7 @@ pub struct P2Item<'a> {
     pub prep2: &'a P2Prep,
 }
 
-/// A chunk with scanned content, staged for the fused content pass.
+/// A chunk with scanned content, staged for the content pass.
 struct ActiveChunk {
     item: usize,
     chunk_idx: usize,
@@ -311,12 +217,14 @@ struct ActiveChunk {
     enc: Option<Arc<MetaEncoding>>,
 }
 
-/// Batched P2-S2: [`infer_phase2`] over many tables in fused content
-/// passes. Returns each table's final admitted sets, in input order,
-/// bit-identical to the per-table calls — including the latent-cache
-/// hit/miss pattern (one `get` per chunk with content, recompute on
-/// miss).
-pub fn infer_phase2_batched(
+/// P2-S2: content-tower inference over the uncertain columns, combining
+/// `A^c = A_1^c` for certain columns and `A^c = A_2^c` for uncertain
+/// ones (§3.3). Returns each table's final admitted sets per column.
+///
+/// Every chunk with scanned content costs one cache `get`; misses (the
+/// w/o-caching variant, or an eviction under very large batches)
+/// recompute the metadata tower.
+pub fn infer_phase2(
     model: &Adtd,
     cfg: &TasteConfig,
     items: &[P2Item<'_>],
@@ -326,8 +234,8 @@ pub fn infer_phase2_batched(
     let mut finals: Vec<Vec<LabelSet>> =
         items.iter().map(|it| it.infer1.admitted.clone()).collect();
 
-    // Stage every chunk that has scanned content, looking up its cached
-    // P1 encoding exactly as the per-table path would.
+    // Stage every chunk that has scanned content with its cached P1
+    // encoding, if any.
     let mut actives: Vec<ActiveChunk> = Vec::new();
     for (i, it) in items.iter().enumerate() {
         if it.infer1.uncertain.is_empty() {
@@ -348,7 +256,7 @@ pub fn infer_phase2_batched(
         return finals;
     }
 
-    // Recompute the metadata tower for cache misses in one fused pass.
+    // Recompute the metadata tower for the cache misses.
     let missing: Vec<usize> =
         (0..actives.len()).filter(|&a| actives[a].enc.is_none()).collect();
     if !missing.is_empty() {
@@ -362,7 +270,7 @@ pub fn infer_phase2_batched(
         }
     }
 
-    // One fused content pass over every active chunk.
+    // The content pass over every active chunk.
     let content_items: Vec<ContentBatchItem<'_>> = actives
         .iter()
         .map(|a| {
@@ -416,6 +324,99 @@ mod tests {
         Inferencer::default()
     }
 
+    /// [`infer_phase1`] over one table.
+    fn p1_one(
+        m: &Adtd,
+        cfg: &TasteConfig,
+        tid: TableId,
+        prep: &P1Prep,
+        cache: Option<&LatentCache>,
+    ) -> P1Infer {
+        infer_phase1(m, cfg, &[P1Item { tid, prep }], cache, &mut inf()).pop().unwrap()
+    }
+
+    /// [`infer_phase2`] over one table.
+    fn p2_one(
+        m: &Adtd,
+        cfg: &TasteConfig,
+        item: P2Item<'_>,
+        cache: Option<&LatentCache>,
+    ) -> Vec<LabelSet> {
+        infer_phase2(m, cfg, &[item], cache, &mut inf()).pop().unwrap()
+    }
+
+    fn admitted_at(row: &[f32], threshold: f32) -> LabelSet {
+        LabelSet::from_iter(
+            row.iter().enumerate().filter(|(_, &p)| p >= threshold).map(|(s, _)| TypeId(s as u32)),
+        )
+    }
+
+    /// Chunk-at-a-time reference for P1-S2: one single-sequence model
+    /// call per chunk, thresholds as §3.2 states them.
+    fn reference_p1(
+        m: &Adtd,
+        cfg: &TasteConfig,
+        tid: TableId,
+        prep: &P1Prep,
+        cache: Option<&LatentCache>,
+    ) -> P1Infer {
+        let mut inf = inf();
+        let mut out = P1Infer { admitted: Vec::new(), uncertain: Vec::new(), nonfinite: false };
+        for (k, chunk) in prep.chunks.iter().enumerate() {
+            let enc = Arc::new(inf.encode_meta(m, chunk));
+            let probs = inf.predict_meta(m, &enc, &chunk.nonmeta);
+            for (row, &ordinal) in probs.iter().zip(&chunk.ordinals) {
+                out.admitted.push(admitted_at(row, cfg.beta));
+                if row.iter().any(|&p| p > cfg.alpha && p < cfg.beta) {
+                    out.uncertain.push(ordinal);
+                }
+            }
+            if let Some(cache) = cache {
+                cache.put((tid, k as u32), enc);
+            }
+        }
+        out
+    }
+
+    /// Chunk-at-a-time reference for P2-S2.
+    fn reference_p2(
+        m: &Adtd,
+        cfg: &TasteConfig,
+        it: &P2Item<'_>,
+        cache: Option<&LatentCache>,
+    ) -> Vec<LabelSet> {
+        let mut inf = inf();
+        let mut finals = it.infer1.admitted.clone();
+        let mut base = 0;
+        for (k, chunk) in it.prep1.chunks.iter().enumerate() {
+            let contents = &it.prep2.contents[k];
+            if contents.iter().any(Option::is_some) {
+                let enc = cache
+                    .and_then(|c| c.get(&(it.tid, k as u32)))
+                    .unwrap_or_else(|| Arc::new(inf.encode_meta(m, chunk)));
+                let probs = inf.predict_content(m, &enc, contents, &chunk.nonmeta);
+                for (j, row) in probs.iter().enumerate() {
+                    if let Some(row) = row {
+                        finals[base + j] = admitted_at(row, cfg.p2_threshold);
+                    }
+                }
+            }
+            base += chunk.ordinals.len();
+        }
+        finals
+    }
+
+    fn assert_same_cache_entries(a: &LatentCache, b: &LatentCache, tid: TableId, nchunks: usize) {
+        assert_eq!(a.len(), b.len());
+        for chunk_idx in 0..nchunks {
+            let key: CacheKey = (tid, chunk_idx as u32);
+            let x = a.get(&key).expect("first cache holds this chunk");
+            let y = b.get(&key).expect("second cache holds this chunk");
+            assert_eq!(x.layer_latents, y.layer_latents, "cache entry {key:?}");
+            assert_eq!(x.col_marker_pos, y.col_marker_pos);
+        }
+    }
+
     fn db_with_table(ncols: usize) -> (Arc<Database>, TableId) {
         let db = Database::new("d", LatencyProfile::zero());
         let tid = TableId(0);
@@ -462,14 +463,14 @@ mod tests {
         let cfg = TasteConfig::default().without_p2();
         let prep = prep_phase1(&conn, tid, &cfg).unwrap();
         let m = model(5);
-        let out = infer_phase1(&m, &cfg, tid, &prep, None, &mut inf());
+        let out = p1_one(&m, &cfg, tid, &prep, None);
         assert!(out.uncertain.is_empty(), "alpha == beta must yield no uncertain columns");
         assert_eq!(out.admitted.len(), 4);
 
         // With the widest band every column is uncertain for an
         // untrained model (probabilities hover near 0.5).
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, ..Default::default() };
-        let out = infer_phase1(&m, &cfg, tid, &prep, None, &mut inf());
+        let out = p1_one(&m, &cfg, tid, &prep, None);
         assert_eq!(out.uncertain.len(), 4);
     }
 
@@ -481,12 +482,12 @@ mod tests {
         let prep = prep_phase1(&conn, tid, &cfg).unwrap();
         let m = model(4);
         let cache = LatentCache::new(8);
-        let _out = infer_phase1(&m, &cfg, tid, &prep, Some(&cache), &mut inf());
+        let _out = p1_one(&m, &cfg, tid, &prep, Some(&cache));
         assert_eq!(cache.len(), 2, "one entry per chunk");
 
         let no_cache_cfg = TasteConfig { caching: false, ..cfg };
         let cache2 = LatentCache::new(8);
-        let _out2 = infer_phase1(&m, &no_cache_cfg, tid, &prep, Some(&cache2), &mut inf());
+        let _out2 = p1_one(&m, &no_cache_cfg, tid, &prep, Some(&cache2));
         assert!(cache2.is_empty());
     }
 
@@ -542,39 +543,15 @@ mod tests {
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, ..Default::default() };
         let m = model(4);
         let prep = prep_phase1(&conn, tid, &cfg).unwrap();
-        let infer1 = infer_phase1(&m, &cfg, tid, &prep, None, &mut inf());
+        let infer1 = p1_one(&m, &cfg, tid, &prep, None);
         // Only scan columns 0 and 2.
         let p2 = prep_phase2(&conn, tid, &prep, &[0, 2], &cfg, &CancelToken::new()).unwrap();
-        let finals = infer_phase2(&m, &cfg, tid, &prep, &infer1, &p2, None, &mut inf());
+        let item = P2Item { tid, prep1: &prep, infer1: &infer1, prep2: &p2 };
+        let finals = p2_one(&m, &cfg, item, None);
         assert_eq!(finals.len(), 4);
         // Unscanned columns keep their P1 admitted sets.
         assert_eq!(finals[1], infer1.admitted[1]);
         assert_eq!(finals[3], infer1.admitted[3]);
-    }
-
-    #[test]
-    fn stages_agree_across_execution_backends() {
-        // The same P1 + P2 pass, served tape-free and on the tape, must
-        // produce identical verdicts (the detect_batch-level version of
-        // this check lives in engine.rs).
-        use taste_model::ExecMode;
-        let (db, tid) = db_with_table(4);
-        let conn = db.connect();
-        let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, l: 2, ..Default::default() };
-        let m = model(4);
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
-
-        let mut free = Inferencer::new(ExecMode::TapeFree);
-        let mut taped = Inferencer::new(ExecMode::Taped);
-        let i1_free = infer_phase1(&m, &cfg, tid, &prep, None, &mut free);
-        let i1_taped = infer_phase1(&m, &cfg, tid, &prep, None, &mut taped);
-        assert_eq!(i1_free.admitted, i1_taped.admitted);
-        assert_eq!(i1_free.uncertain, i1_taped.uncertain);
-
-        let p2 = prep_phase2(&conn, tid, &prep, &i1_free.uncertain, &cfg, &CancelToken::new()).unwrap();
-        let f_free = infer_phase2(&m, &cfg, tid, &prep, &i1_free, &p2, None, &mut free);
-        let f_taped = infer_phase2(&m, &cfg, tid, &prep, &i1_taped, &p2, None, &mut taped);
-        assert_eq!(f_free, f_taped, "backends must agree on final verdicts");
     }
 
     fn db_with_tables(widths: &[usize]) -> (Arc<Database>, Vec<TableId>) {
@@ -618,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_p1_matches_per_table_and_fills_cache_identically() {
+    fn p1_one_call_with_n_items_equals_n_calls_with_one_item() {
         let (db, tids) = db_with_tables(&[1, 3, 2, 5]);
         let conn = db.connect();
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, l: 2, ..Default::default() };
@@ -630,49 +607,42 @@ mod tests {
         let solo: Vec<P1Infer> = tids
             .iter()
             .zip(&preps)
-            .map(|(&tid, p)| infer_phase1(&m, &cfg, tid, p, Some(&solo_cache), &mut inf()))
+            .map(|(&tid, p)| p1_one(&m, &cfg, tid, p, Some(&solo_cache)))
             .collect();
 
-        let batch_cache = LatentCache::new(64);
+        let many_cache = LatentCache::new(64);
         let items: Vec<P1Item> =
             tids.iter().zip(&preps).map(|(&tid, prep)| P1Item { tid, prep }).collect();
-        let batched = infer_phase1_batched(&m, &cfg, &items, Some(&batch_cache), &mut inf());
+        let many = infer_phase1(&m, &cfg, &items, Some(&many_cache), &mut inf());
 
-        assert_eq!(batched.len(), solo.len());
-        for (b, s) in batched.iter().zip(&solo) {
+        assert_eq!(many.len(), solo.len());
+        for (b, s) in many.iter().zip(&solo) {
             assert_eq!(b.admitted, s.admitted);
             assert_eq!(b.uncertain, s.uncertain);
         }
         // Same keys, same cached bytes.
-        assert_eq!(batch_cache.len(), solo_cache.len());
         for (&tid, prep) in tids.iter().zip(&preps) {
-            for chunk_idx in 0..prep.chunks.len() {
-                let key: CacheKey = (tid, chunk_idx as u32);
-                let a = solo_cache.get(&key).expect("per-table path cached this chunk");
-                let b = batch_cache.get(&key).expect("batched path must cache this chunk");
-                assert_eq!(a.layer_latents, b.layer_latents, "cache entry {key:?}");
-                assert_eq!(a.col_marker_pos, b.col_marker_pos);
-            }
+            assert_same_cache_entries(&solo_cache, &many_cache, tid, prep.chunks.len());
         }
     }
 
     #[test]
-    fn batched_p2_matches_per_table_with_and_without_cache() {
+    fn p2_one_call_with_n_items_equals_n_calls_with_one_item() {
         let (db, tids) = db_with_tables(&[2, 4, 1]);
         let conn = db.connect();
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, l: 2, ..Default::default() };
         let m = model(4);
         for use_cache in [true, false] {
-            let cache = use_cache.then(|| LatentCache::new(64));
             let preps: Vec<P1Prep> =
                 tids.iter().map(|&tid| prep_phase1(&conn, tid, &cfg).unwrap()).collect();
-            let infer1s: Vec<P1Infer> = tids
-                .iter()
-                .zip(&preps)
-                .map(|(&tid, p)| infer_phase1(&m, &cfg, tid, p, cache.as_ref(), &mut inf()))
-                .collect();
+            // Two caches filled identically, so both sides see the same
+            // hits and their counters can be compared afterwards.
+            let caches = [(); 2].map(|_| use_cache.then(|| LatentCache::new(64)));
+            let items1: Vec<P1Item> =
+                tids.iter().zip(&preps).map(|(&tid, prep)| P1Item { tid, prep }).collect();
+            let mut infer1s = infer_phase1(&m, &cfg, &items1, caches[0].as_ref(), &mut inf());
+            infer_phase1(&m, &cfg, &items1, caches[1].as_ref(), &mut inf());
             // One table rides along with no uncertain columns at all.
-            let mut infer1s = infer1s;
             infer1s[2].uncertain.clear();
             let p2s: Vec<P2Prep> = tids
                 .iter()
@@ -682,30 +652,61 @@ mod tests {
                     prep_phase2(&conn, tid, p, &i1.uncertain, &cfg, &CancelToken::new()).unwrap()
                 })
                 .collect();
+            let item = |k: usize| P2Item {
+                tid: tids[k],
+                prep1: &preps[k],
+                infer1: &infer1s[k],
+                prep2: &p2s[k],
+            };
 
-            let solo: Vec<Vec<LabelSet>> = tids
-                .iter()
-                .enumerate()
-                .map(|(k, &tid)| {
-                    infer_phase2(
-                        &m, &cfg, tid, &preps[k], &infer1s[k], &p2s[k], cache.as_ref(),
-                        &mut inf(),
-                    )
-                })
-                .collect();
+            let solo: Vec<Vec<LabelSet>> =
+                (0..tids.len()).map(|k| p2_one(&m, &cfg, item(k), caches[0].as_ref())).collect();
+            let items: Vec<P2Item> = (0..tids.len()).map(item).collect();
+            let many = infer_phase2(&m, &cfg, &items, caches[1].as_ref(), &mut inf());
+            assert_eq!(many, solo, "use_cache={use_cache}");
+            assert_eq!(
+                caches[0].as_ref().map(LatentCache::stats),
+                caches[1].as_ref().map(LatentCache::stats),
+                "hit/miss counts"
+            );
+        }
+    }
 
-            let items: Vec<P2Item> = tids
-                .iter()
-                .enumerate()
-                .map(|(k, &tid)| P2Item {
-                    tid,
-                    prep1: &preps[k],
-                    infer1: &infer1s[k],
-                    prep2: &p2s[k],
-                })
-                .collect();
-            let batched = infer_phase2_batched(&m, &cfg, &items, cache.as_ref(), &mut inf());
-            assert_eq!(batched, solo, "use_cache={use_cache}");
+    #[test]
+    fn wide_table_one_item_call_matches_chunk_at_a_time_reference() {
+        // A table wider than `l` hands its chunks to the model together;
+        // the single-sequence calls of the reference see them one by one.
+        let l = 3;
+        let (db, tid) = db_with_table(2 * l + 3);
+        let conn = db.connect();
+        let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, l, ..Default::default() };
+        let m = model(4);
+        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        assert_eq!(prep.chunks.len(), 3);
+        for use_cache in [true, false] {
+            let ref_cache = use_cache.then(|| LatentCache::new(8));
+            let cache = use_cache.then(|| LatentCache::new(8));
+
+            let want1 = reference_p1(&m, &cfg, tid, &prep, ref_cache.as_ref());
+            let got1 = p1_one(&m, &cfg, tid, &prep, cache.as_ref());
+            assert_eq!(got1.admitted, want1.admitted);
+            assert_eq!(got1.uncertain, want1.uncertain);
+            assert_eq!(got1.uncertain.len(), 2 * l + 3, "every chunk reaches P2");
+            if let (Some(a), Some(b)) = (&ref_cache, &cache) {
+                assert_same_cache_entries(a, b, tid, prep.chunks.len());
+            }
+
+            let p2 =
+                prep_phase2(&conn, tid, &prep, &got1.uncertain, &cfg, &CancelToken::new()).unwrap();
+            let item = P2Item { tid, prep1: &prep, infer1: &got1, prep2: &p2 };
+            let want = reference_p2(&m, &cfg, &item, ref_cache.as_ref());
+            let got = p2_one(&m, &cfg, item, cache.as_ref());
+            assert_eq!(got, want, "use_cache={use_cache}");
+            assert_eq!(
+                ref_cache.as_ref().map(LatentCache::stats),
+                cache.as_ref().map(LatentCache::stats),
+                "hit/miss counts"
+            );
         }
     }
 
@@ -717,13 +718,15 @@ mod tests {
         let m = model(4);
         let prep = prep_phase1(&conn, tid, &cfg).unwrap();
         let cache = LatentCache::new(8);
-        let infer1 = infer_phase1(&m, &cfg, tid, &prep, Some(&cache), &mut inf());
+        let infer1 = p1_one(&m, &cfg, tid, &prep, Some(&cache));
         let p2 = prep_phase2(&conn, tid, &prep, &infer1.uncertain, &cfg, &CancelToken::new()).unwrap();
-        let cached = infer_phase2(&m, &cfg, tid, &prep, &infer1, &p2, Some(&cache), &mut inf());
+        let item = P2Item { tid, prep1: &prep, infer1: &infer1, prep2: &p2 };
+        let cached = p2_one(&m, &cfg, item, Some(&cache));
 
         let nc_cfg = TasteConfig { caching: false, ..cfg };
-        let infer1_nc = infer_phase1(&m, &nc_cfg, tid, &prep, None, &mut inf());
-        let recomputed = infer_phase2(&m, &nc_cfg, tid, &prep, &infer1_nc, &p2, None, &mut inf());
+        let infer1_nc = p1_one(&m, &nc_cfg, tid, &prep, None);
+        let item_nc = P2Item { tid, prep1: &prep, infer1: &infer1_nc, prep2: &p2 };
+        let recomputed = p2_one(&m, &nc_cfg, item_nc, None);
         assert_eq!(cached, recomputed, "caching must not change results");
     }
 }

@@ -91,7 +91,7 @@ proptest! {
         for threads in [1usize, 4] {
             for max in [1usize, 3, 8] {
                 let cfg = TasteConfig {
-                    execution: ExecutionConfig { kernel_threads: threads, ..Default::default() },
+                    execution: ExecutionConfig { kernel_threads: threads },
                     batching: BatchingConfig {
                         enabled: true,
                         max_batch_columns: max,

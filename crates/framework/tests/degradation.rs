@@ -9,7 +9,7 @@ use std::time::Duration;
 use taste_core::{Cell, ColumnId, ColumnMeta, LabelSet, RawType, Table, TableId, TableMeta};
 use taste_db::{Database, FaultProfile, LatencyProfile};
 use taste_framework::retry::RetryConfig;
-use taste_framework::stages::{infer_phase1, prep_phase1};
+use taste_framework::stages::{infer_phase1, prep_phase1, P1Item};
 use taste_framework::{TasteConfig, TasteEngine};
 use taste_model::{Adtd, ModelConfig};
 use taste_tokenizer::{Tokenizer, VocabBuilder};
@@ -126,8 +126,9 @@ fn p2_total_failure_degrades_to_p1_and_cycles_the_breaker() {
     db.set_fault_profile(FaultProfile::none());
     let conn = db.connect();
     let prep = prep_phase1(&conn, target, &cfg).unwrap();
-    let p1 = infer_phase1(&m, &cfg, target, &prep, None, &mut taste_model::Inferencer::default());
-    assert_eq!(degraded.admitted, p1.admitted);
+    let item = [P1Item { tid: target, prep: &prep }];
+    let p1 = infer_phase1(&m, &cfg, &item, None, &mut taste_model::Inferencer::default());
+    assert_eq!(degraded.admitted, p1[0].admitted);
 
     // Full breaker cycle, observed in order.
     assert_eq!(report.breaker_trips, 1);

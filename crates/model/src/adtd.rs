@@ -10,13 +10,12 @@
 //! serves with the full model, feeding cached metadata latents into the
 //! content tower ([`Adtd::predict_content`]).
 //!
-//! Training and serving run on different execution backends. The
-//! `predict_*` entry points are tape-free: they evaluate on a
-//! [`taste_nn::InferExec`] (no autodiff DAG, recycled buffers), either a
-//! throwaway one (the plain methods) or a caller-pooled one (the `_in`
-//! variants used by the framework's worker threads). The `_ex` bodies are
-//! generic over [`Forward`], so A/B parity runs can force the recording
-//! [`Tape`] through the exact same code.
+//! The six inference entry points — three operations, each over one
+//! chunk or over a ragged batch of chunks — are generic over [`Forward`],
+//! the only seam between model code and execution. Serving reaches them
+//! through [`crate::Inferencer`], which owns the tape-free executor and
+//! picks the body; the recording [`Tape`] runs the same code in training
+//! and in the parity tests.
 
 use crate::cache::CachedMeta;
 use crate::config::ModelConfig;
@@ -25,7 +24,7 @@ use crate::features::NONMETA_DIM;
 use crate::prepare::{ModelInput, TableChunk};
 use taste_nn::losses::AutomaticWeightedLoss;
 use taste_nn::modules::{dropout_mask, Linear};
-use taste_nn::{Act, Forward, InferExec, Matrix, NodeId, ParamStore, Tape};
+use taste_nn::{Act, Forward, Matrix, NodeId, ParamStore, Tape};
 use taste_tokenizer::{ColumnContent, PackedContent, PackedMeta, Packer, Tokenizer};
 
 /// Alias: the output of a metadata-tower pass is exactly what the latent
@@ -131,25 +130,10 @@ impl Adtd {
     }
 
     /// P1 inference, step 1: run the metadata tower over a chunk and
-    /// return the per-layer latents + marker positions (cacheable).
-    ///
-    /// Runs tape-free on a throwaway executor; use
-    /// [`Adtd::encode_meta_in`] from a worker that owns a pooled one.
-    pub fn encode_meta(&self, chunk: &TableChunk) -> MetaEncoding {
-        self.encode_meta_in(&mut InferExec::new(), chunk)
-    }
-
-    /// [`Adtd::encode_meta`] on a caller-pooled executor, reusing its
-    /// scratch buffers.
-    pub fn encode_meta_in(&self, exec: &mut InferExec, chunk: &TableChunk) -> MetaEncoding {
-        let mut sess = exec.session(&self.store);
-        self.encode_meta_ex(&mut sess, chunk)
-    }
-
-    /// Backend-generic body of [`Adtd::encode_meta`]. The latents are
-    /// copied out of the executor because the encoding must outlive it
-    /// (that copy *is* the cacheable artifact).
-    pub fn encode_meta_ex<E: Forward + ?Sized>(&self, ex: &mut E, chunk: &TableChunk) -> MetaEncoding {
+    /// return the per-layer latents + marker positions (cacheable). The
+    /// latents are copied out of the executor because the encoding must
+    /// outlive it (that copy *is* the cacheable artifact).
+    pub fn encode_meta<E: Forward + ?Sized>(&self, ex: &mut E, chunk: &TableChunk) -> MetaEncoding {
         let packed = self.pack_meta(chunk);
         let tokens: Vec<usize> = packed.tokens.iter().map(|&t| t as usize).collect();
         let latents = self.encoder.forward_meta(ex, &self.store, &tokens);
@@ -160,26 +144,10 @@ impl Adtd {
     }
 
     /// P1 inference, step 2: per-column type probabilities from the
-    /// metadata encoding — the matrix `p_{c,s}` of §3.2. Tape-free.
-    pub fn predict_meta(&self, enc: &MetaEncoding, nonmeta: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        self.predict_meta_in(&mut InferExec::new(), enc, nonmeta)
-    }
-
-    /// [`Adtd::predict_meta`] on a caller-pooled executor.
-    pub fn predict_meta_in(
-        &self,
-        exec: &mut InferExec,
-        enc: &MetaEncoding,
-        nonmeta: &[Vec<f32>],
-    ) -> Vec<Vec<f32>> {
-        let mut sess = exec.session(&self.store);
-        self.predict_meta_ex(&mut sess, enc, nonmeta)
-    }
-
-    /// Backend-generic body of [`Adtd::predict_meta`]. The marker-row
+    /// metadata encoding — the matrix `p_{c,s}` of §3.2. The marker-row
     /// gather and the feature stacking go straight into backend leaves —
     /// no intermediate owned matrices on the hot path.
-    pub fn predict_meta_ex<E: Forward + ?Sized>(
+    pub fn predict_meta<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         enc: &MetaEncoding,
@@ -202,33 +170,11 @@ impl Adtd {
     /// P2 inference: content-tower pass reusing the cached metadata
     /// latents. `contents[j]` is `Some` exactly for scanned columns;
     /// returns `Some(probs)` for those columns (unless the sequence cap
-    /// dropped them) and `None` elsewhere.
-    pub fn predict_content(
-        &self,
-        enc: &MetaEncoding,
-        contents: &[Option<ColumnContent>],
-        nonmeta: &[Vec<f32>],
-    ) -> Vec<Option<Vec<f32>>> {
-        self.predict_content_in(&mut InferExec::new(), enc, contents, nonmeta)
-    }
-
-    /// [`Adtd::predict_content`] on a caller-pooled executor.
-    pub fn predict_content_in(
-        &self,
-        exec: &mut InferExec,
-        enc: &MetaEncoding,
-        contents: &[Option<ColumnContent>],
-        nonmeta: &[Vec<f32>],
-    ) -> Vec<Option<Vec<f32>>> {
-        let mut sess = exec.session(&self.store);
-        self.predict_content_ex(&mut sess, enc, contents, nonmeta)
-    }
-
-    /// Backend-generic body of [`Adtd::predict_content`]. Cached latents
-    /// enter as leaves, the marker gathers stay inside the backend (one
-    /// pass, no clone-out/re-leaf round trip), and features are stacked
-    /// directly from `nonmeta` row slices.
-    pub fn predict_content_ex<E: Forward + ?Sized>(
+    /// dropped them) and `None` elsewhere. Cached latents enter as
+    /// leaves, the marker gathers stay inside the backend (one pass, no
+    /// clone-out/re-leaf round trip), and features are stacked directly
+    /// from `nonmeta` row slices.
+    pub fn predict_content<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         enc: &MetaEncoding,
@@ -292,30 +238,14 @@ impl Adtd {
     /// Batched [`Adtd::encode_meta`]: one ragged fused metadata-tower
     /// pass over the whole batch, scattering the stacked per-layer
     /// latents back into one cacheable [`MetaEncoding`] per chunk.
-    /// Tape-free on a throwaway executor.
-    pub fn encode_meta_batched(&self, chunks: &[&TableChunk]) -> Vec<MetaEncoding> {
-        self.encode_meta_batched_in(&mut InferExec::new(), chunks)
-    }
-
-    /// [`Adtd::encode_meta_batched`] on a caller-pooled executor.
-    pub fn encode_meta_batched_in(
+    pub fn encode_meta_batched<E: Forward + ?Sized>(
         &self,
-        exec: &mut InferExec,
+        ex: &mut E,
         chunks: &[&TableChunk],
     ) -> Vec<MetaEncoding> {
         if chunks.is_empty() {
             return Vec::new();
         }
-        let mut sess = exec.session(&self.store);
-        self.encode_meta_batched_ex(&mut sess, chunks)
-    }
-
-    /// Backend-generic body of [`Adtd::encode_meta_batched`].
-    pub fn encode_meta_batched_ex<E: Forward + ?Sized>(
-        &self,
-        ex: &mut E,
-        chunks: &[&TableChunk],
-    ) -> Vec<MetaEncoding> {
         let packed: Vec<PackedMeta> = chunks.iter().map(|c| self.pack_meta(c)).collect();
         let tokens: Vec<Vec<usize>> =
             packed.iter().map(|p| p.tokens.iter().map(|&t| t as usize).collect()).collect();
@@ -348,28 +278,7 @@ impl Adtd {
     /// stacking is free). `items[i]` pairs chunk `i`'s encoding with
     /// its per-column non-metadata features; returns one probability
     /// matrix per chunk, bit-identical to per-chunk [`Adtd::predict_meta`].
-    pub fn predict_meta_batched(
-        &self,
-        items: &[(&MetaEncoding, &[Vec<f32>])],
-    ) -> Vec<Vec<Vec<f32>>> {
-        self.predict_meta_batched_in(&mut InferExec::new(), items)
-    }
-
-    /// [`Adtd::predict_meta_batched`] on a caller-pooled executor.
-    pub fn predict_meta_batched_in(
-        &self,
-        exec: &mut InferExec,
-        items: &[(&MetaEncoding, &[Vec<f32>])],
-    ) -> Vec<Vec<Vec<f32>>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let mut sess = exec.session(&self.store);
-        self.predict_meta_batched_ex(&mut sess, items)
-    }
-
-    /// Backend-generic body of [`Adtd::predict_meta_batched`].
-    pub fn predict_meta_batched_ex<E: Forward + ?Sized>(
+    pub fn predict_meta_batched<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         items: &[(&MetaEncoding, &[Vec<f32>])],
@@ -405,28 +314,7 @@ impl Adtd {
     /// stack), and classifies every scanned column of the batch in one
     /// fused head pass. Returns per chunk what [`Adtd::predict_content`]
     /// returns, bit-identically.
-    pub fn predict_content_batched(
-        &self,
-        items: &[ContentBatchItem<'_>],
-    ) -> Vec<Vec<Option<Vec<f32>>>> {
-        self.predict_content_batched_in(&mut InferExec::new(), items)
-    }
-
-    /// [`Adtd::predict_content_batched`] on a caller-pooled executor.
-    pub fn predict_content_batched_in(
-        &self,
-        exec: &mut InferExec,
-        items: &[ContentBatchItem<'_>],
-    ) -> Vec<Vec<Option<Vec<f32>>>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let mut sess = exec.session(&self.store);
-        self.predict_content_batched_ex(&mut sess, items)
-    }
-
-    /// Backend-generic body of [`Adtd::predict_content_batched`].
-    pub fn predict_content_batched_ex<E: Forward + ?Sized>(
+    pub fn predict_content_batched<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         items: &[ContentBatchItem<'_>],
@@ -678,6 +566,8 @@ pub(crate) fn matrix_rows(m: &Matrix) -> Vec<Vec<f32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Inferencer;
+    use taste_nn::InferExec;
     use taste_tokenizer::VocabBuilder;
 
     fn tokenizer() -> Tokenizer {
@@ -703,11 +593,12 @@ mod tests {
     #[test]
     fn predict_meta_shapes_and_probability_range() {
         let m = model(6);
+        let mut inf = Inferencer::default();
         let c = chunk(3);
-        let enc = m.encode_meta(&c);
+        let enc = inf.encode_meta(&m, &c);
         assert_eq!(enc.layer_latents.len(), m.cfg.layers + 1);
         assert_eq!(enc.col_marker_pos.len(), 3);
-        let probs = m.predict_meta(&enc, &c.nonmeta);
+        let probs = inf.predict_meta(&m, &enc, &c.nonmeta);
         assert_eq!(probs.len(), 3);
         for row in &probs {
             assert_eq!(row.len(), 6);
@@ -718,14 +609,15 @@ mod tests {
     #[test]
     fn predict_content_only_for_scanned_columns() {
         let m = model(5);
+        let mut inf = Inferencer::default();
         let c = chunk(3);
-        let enc = m.encode_meta(&c);
+        let enc = inf.encode_meta(&m, &c);
         let contents = vec![
             None,
             Some(ColumnContent { cells: vec!["city".into(), "name".into()] }),
             None,
         ];
-        let out = m.predict_content(&enc, &contents, &c.nonmeta);
+        let out = inf.predict_content(&m, &enc, &contents, &c.nonmeta);
         assert_eq!(out.len(), 3);
         assert!(out[0].is_none() && out[2].is_none());
         let probs = out[1].as_ref().unwrap();
@@ -735,18 +627,20 @@ mod tests {
     #[test]
     fn predict_content_all_none_short_circuits() {
         let m = model(5);
+        let mut inf = Inferencer::default();
         let c = chunk(2);
-        let enc = m.encode_meta(&c);
-        let out = m.predict_content(&enc, &[None, None], &c.nonmeta);
+        let enc = inf.encode_meta(&m, &c);
+        let out = inf.predict_content(&m, &enc, &[None, None], &c.nonmeta);
         assert_eq!(out, vec![None, None]);
     }
 
     #[test]
     fn encode_meta_is_deterministic() {
         let m = model(4);
+        let mut inf = Inferencer::default();
         let c = chunk(2);
-        let e1 = m.encode_meta(&c);
-        let e2 = m.encode_meta(&c);
+        let e1 = inf.encode_meta(&m, &c);
+        let e2 = inf.encode_meta(&m, &c);
         assert_eq!(e1.layer_latents.last(), e2.layer_latents.last());
     }
 
@@ -755,15 +649,16 @@ mod tests {
         // The latent-cache contract: P2 probabilities computed from the
         // stored encoding equal those computed from a fresh P1 pass.
         let m = model(4);
+        let mut inf = Inferencer::default();
         let c = chunk(2);
-        let enc_live = m.encode_meta(&c);
+        let enc_live = inf.encode_meta(&m, &c);
         let cached = MetaEncoding {
             layer_latents: enc_live.layer_latents.clone(),
             col_marker_pos: enc_live.col_marker_pos.clone(),
         };
         let contents = vec![Some(ColumnContent { cells: vec!["phone".into()] }), None];
-        let a = m.predict_content(&enc_live, &contents, &c.nonmeta);
-        let b = m.predict_content(&cached, &contents, &c.nonmeta);
+        let a = inf.predict_content(&m, &enc_live, &contents, &c.nonmeta);
+        let b = inf.predict_content(&m, &cached, &contents, &c.nonmeta);
         assert_eq!(a, b);
     }
 
@@ -787,13 +682,14 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_preserves_predictions() {
         let m = model(4);
+        let mut inf = Inferencer::default();
         let c = chunk(2);
-        let enc = m.encode_meta(&c);
-        let probs = m.predict_meta(&enc, &c.nonmeta);
+        let enc = inf.encode_meta(&m, &c);
+        let probs = inf.predict_meta(&m, &enc, &c.nonmeta);
         let json = m.to_json();
         let restored = Adtd::from_json(&json).unwrap();
-        let enc2 = restored.encode_meta(&c);
-        let probs2 = restored.predict_meta(&enc2, &c.nonmeta);
+        let enc2 = inf.encode_meta(&restored, &c);
+        let probs2 = inf.predict_meta(&restored, &enc2, &c.nonmeta);
         assert_eq!(probs, probs2);
     }
 
@@ -813,11 +709,12 @@ mod tests {
     #[test]
     fn batched_encode_meta_is_bit_identical_to_per_chunk() {
         let m = model(4);
+        let mut inf = Inferencer::default();
         let chunks: Vec<TableChunk> = (0..7).map(varied_chunk).collect();
         let refs: Vec<&TableChunk> = chunks.iter().collect();
-        let batched = m.encode_meta_batched(&refs);
+        let batched = inf.encode_meta_batch(&m, &refs);
         for (c, b) in chunks.iter().zip(&batched) {
-            let solo = m.encode_meta(c);
+            let solo = inf.encode_meta(&m, c);
             assert_eq!(solo.layer_latents, b.layer_latents, "latent bytes diverged");
             assert_eq!(solo.col_marker_pos, b.col_marker_pos);
         }
@@ -826,21 +723,23 @@ mod tests {
     #[test]
     fn batched_predict_meta_is_bit_identical_to_per_chunk() {
         let m = model(5);
+        let mut inf = Inferencer::default();
         let chunks: Vec<TableChunk> = (0..5).map(varied_chunk).collect();
-        let encs: Vec<MetaEncoding> = chunks.iter().map(|c| m.encode_meta(c)).collect();
+        let encs: Vec<MetaEncoding> = chunks.iter().map(|c| inf.encode_meta(&m, c)).collect();
         let items: Vec<(&MetaEncoding, &[Vec<f32>])> =
             encs.iter().zip(&chunks).map(|(e, c)| (e, c.nonmeta.as_slice())).collect();
-        let batched = m.predict_meta_batched(&items);
+        let batched = inf.predict_meta_batch(&m, &items);
         for ((enc, c), b) in encs.iter().zip(&chunks).zip(&batched) {
-            assert_eq!(&m.predict_meta(enc, &c.nonmeta), b);
+            assert_eq!(&inf.predict_meta(&m, enc, &c.nonmeta), b);
         }
     }
 
     #[test]
     fn batched_predict_content_is_bit_identical_to_per_chunk() {
         let m = model(4);
+        let mut inf = Inferencer::default();
         let chunks: Vec<TableChunk> = (0..6).map(varied_chunk).collect();
-        let encs: Vec<MetaEncoding> = chunks.iter().map(|c| m.encode_meta(c)).collect();
+        let encs: Vec<MetaEncoding> = chunks.iter().map(|c| inf.encode_meta(&m, c)).collect();
         // Mixed scan patterns, including an all-None chunk.
         let contents: Vec<Vec<Option<ColumnContent>>> = chunks
             .iter()
@@ -863,22 +762,75 @@ mod tests {
             .zip(&chunks)
             .map(|((e, ct), c)| (e, ct.as_slice(), c.nonmeta.as_slice()))
             .collect();
-        let batched = m.predict_content_batched(&items);
+        let batched = inf.predict_content_batch(&m, &items);
         for (((enc, ct), c), b) in encs.iter().zip(&contents).zip(&chunks).zip(&batched) {
-            assert_eq!(&m.predict_content(enc, ct, &c.nonmeta), b);
+            assert_eq!(&inf.predict_content(&m, enc, ct, &c.nonmeta), b);
         }
     }
 
     #[test]
-    fn batched_entry_points_accept_empty_and_singleton_batches() {
+    fn six_bodies_produce_identical_bytes_on_tape_and_exec_session() {
+        // The serving backend against the training backend, through the
+        // same generic bodies: every entry point, one chunk and many,
+        // empty and singleton batches included.
         let m = model(4);
-        assert!(m.encode_meta_batched(&[]).is_empty());
-        assert!(m.predict_meta_batched(&[]).is_empty());
-        assert!(m.predict_content_batched(&[]).is_empty());
-        let c = chunk(2);
-        let enc = m.encode_meta_batched(&[&c]);
-        assert_eq!(enc.len(), 1);
-        assert_eq!(enc[0].layer_latents, m.encode_meta(&c).layer_latents);
+        let chunks: Vec<TableChunk> = (0..4).map(varied_chunk).collect();
+        let refs: Vec<&TableChunk> = chunks.iter().collect();
+        let contents: Vec<Vec<Option<ColumnContent>>> = chunks
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                (0..c.col_texts.len())
+                    .map(|j| ((i + j) % 2 == 1).then(|| ColumnContent { cells: vec![format!("phone{i}")] }))
+                    .collect()
+            })
+            .collect();
+        let mut exec = InferExec::new();
+
+        let solo_t: Vec<MetaEncoding> = chunks.iter().map(|c| m.encode_meta(&mut Tape::new(), c)).collect();
+        let solo_s: Vec<MetaEncoding> =
+            chunks.iter().map(|c| m.encode_meta(&mut exec.session(&m.store), c)).collect();
+        let fused_t = m.encode_meta_batched(&mut Tape::new(), &refs);
+        let fused_s = m.encode_meta_batched(&mut exec.session(&m.store), &refs);
+        for enc in [&solo_s, &fused_t, &fused_s] {
+            for (a, b) in solo_t.iter().zip(enc) {
+                assert_eq!(a.layer_latents, b.layer_latents, "latent bytes diverged");
+                assert_eq!(a.col_marker_pos, b.col_marker_pos);
+            }
+        }
+        assert!(m.encode_meta_batched(&mut Tape::new(), &[]).is_empty());
+        assert!(m.encode_meta_batched(&mut exec.session(&m.store), &[]).is_empty());
+        let one = m.encode_meta_batched(&mut exec.session(&m.store), &refs[..1]);
+        assert_eq!(one[0].layer_latents, solo_t[0].layer_latents);
+
+        let meta_items: Vec<(&MetaEncoding, &[Vec<f32>])> =
+            solo_t.iter().zip(&chunks).map(|(e, c)| (e, c.nonmeta.as_slice())).collect();
+        let meta_t: Vec<Vec<Vec<f32>>> =
+            meta_items.iter().map(|(e, f)| m.predict_meta(&mut Tape::new(), e, f)).collect();
+        let meta_s: Vec<Vec<Vec<f32>>> =
+            meta_items.iter().map(|(e, f)| m.predict_meta(&mut exec.session(&m.store), e, f)).collect();
+        assert_eq!(meta_t, meta_s);
+        assert_eq!(meta_t, m.predict_meta_batched(&mut Tape::new(), &meta_items));
+        assert_eq!(meta_t, m.predict_meta_batched(&mut exec.session(&m.store), &meta_items));
+        assert!(m.predict_meta_batched(&mut exec.session(&m.store), &[]).is_empty());
+
+        let content_items: Vec<ContentBatchItem<'_>> = solo_t
+            .iter()
+            .zip(&contents)
+            .zip(&chunks)
+            .map(|((e, ct), c)| (e, ct.as_slice(), c.nonmeta.as_slice()))
+            .collect();
+        let content_t: Vec<Vec<Option<Vec<f32>>>> =
+            content_items.iter().map(|(e, ct, f)| m.predict_content(&mut Tape::new(), e, ct, f)).collect();
+        let content_s: Vec<Vec<Option<Vec<f32>>>> = content_items
+            .iter()
+            .map(|(e, ct, f)| m.predict_content(&mut exec.session(&m.store), e, ct, f))
+            .collect();
+        assert!(content_t.iter().flatten().any(Option::is_some), "fixture scans at least one column");
+        assert_eq!(content_t, content_s);
+        assert_eq!(content_t, m.predict_content_batched(&mut Tape::new(), &content_items));
+        assert_eq!(content_t, m.predict_content_batched(&mut exec.session(&m.store), &content_items));
+        assert!(m.predict_content_batched(&mut exec.session(&m.store), &[]).is_empty());
     }
 
     #[test]
@@ -887,11 +839,12 @@ mod tests {
         // H=312, I=1200) without training it.
         let cfg = ModelConfig::paper();
         let m = Adtd::new(cfg, tokenizer(), 10, 0);
+        let mut inf = Inferencer::default();
         let c = chunk(2);
-        let enc = m.encode_meta(&c);
+        let enc = inf.encode_meta(&m, &c);
         assert_eq!(enc.layer_latents.len(), 5);
         assert_eq!(enc.layer_latents[0].cols(), 312);
-        let probs = m.predict_meta(&enc, &c.nonmeta);
+        let probs = inf.predict_meta(&m, &enc, &c.nonmeta);
         assert_eq!(probs[0].len(), 10);
     }
 }

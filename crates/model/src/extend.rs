@@ -214,13 +214,14 @@ mod tests {
         train_adtd(&mut model, &base_inputs(), &TrainConfig { epochs: 16, batch_size: 4, lr: 2.5e-3, ..Default::default() })
             .unwrap();
         let probe = base_inputs()[0].clone();
-        let enc = model.encode_meta(&probe.chunk);
-        let before = model.predict_meta(&enc, &probe.chunk.nonmeta);
+        let mut inf = crate::Inferencer::default();
+        let enc = inf.encode_meta(&model, &probe.chunk);
+        let before = inf.predict_meta(&model, &enc, &probe.chunk.nonmeta);
 
         extend_types(&mut model, 5).unwrap();
         assert_eq!(model.ntypes, 5);
-        let enc2 = model.encode_meta(&probe.chunk);
-        let after = model.predict_meta(&enc2, &probe.chunk.nonmeta);
+        let enc2 = inf.encode_meta(&model, &probe.chunk);
+        let after = inf.predict_meta(&model, &enc2, &probe.chunk.nonmeta);
         assert_eq!(after[0].len(), 5);
         for s in 0..3 {
             assert!(
@@ -275,8 +276,9 @@ mod tests {
 
         // The new type is now detected for iban columns.
         let probe = input("iban", "gamma", vec![0.0; 4]);
-        let enc = model.encode_meta(&probe.chunk);
-        let probs = model.predict_meta(&enc, &probe.chunk.nonmeta);
+        let mut inf = crate::Inferencer::default();
+        let enc = inf.encode_meta(&model, &probe.chunk);
+        let probs = inf.predict_meta(&model, &enc, &probe.chunk.nonmeta);
         let row = &probs[0];
         assert!(
             row[3] > row[1] && row[3] > row[2],
@@ -291,8 +293,9 @@ mod tests {
         extend_types(&mut model, 8).unwrap();
         assert_eq!(model.ntypes, 8);
         let probe = input("city", "alpha", vec![0.0; 8]);
-        let enc = model.encode_meta(&probe.chunk);
-        let probs = model.predict_meta(&enc, &probe.chunk.nonmeta);
+        let mut inf = crate::Inferencer::default();
+        let enc = inf.encode_meta(&model, &probe.chunk);
+        let probs = inf.predict_meta(&model, &enc, &probe.chunk.nonmeta);
         assert_eq!(probs[0].len(), 8);
     }
 }

@@ -145,8 +145,9 @@ mod tests {
 
     fn prob_of(model: &Adtd, column: usize, ty: TypeId) -> f32 {
         let c = chunk();
-        let enc = model.encode_meta(&c);
-        let probs = model.predict_meta(&enc, &c.nonmeta);
+        let mut inf = crate::Inferencer::default();
+        let enc = inf.encode_meta(model, &c);
+        let probs = inf.predict_meta(model, &enc, &c.nonmeta);
         probs[column][ty.index()]
     }
 

@@ -1,90 +1,58 @@
-//! The serving-side execution handle: a long-lived [`Inferencer`] that
-//! owns a tape-free executor and dispatches the ADTD prediction entry
-//! points onto the configured backend.
+//! The serving handle: a long-lived [`Inferencer`] that owns a tape-free
+//! executor and runs the ADTD inference entry points on it.
 //!
 //! The framework's worker threads each hold one `Inferencer` for their
 //! whole lifetime, so the executor's scratch buffers are sized by the
-//! first table and reused for every table after it. The [`ExecMode::Taped`]
-//! mode exists for A/B parity runs only: it routes the *same* generic
-//! forward bodies through a fresh recording [`taste_nn::Tape`] per call,
-//! reproducing the pre-split serving behavior.
+//! first table and its packed weights are built once, then reused for
+//! every table after it.
+//!
+//! [`Adtd`] has two bodies per operation: a single-sequence one and a
+//! fused block-diagonal one over a ragged batch. They are bit-identical,
+//! but the fused body costs more at small shapes, so the `*_batch`
+//! methods here pick between them from the number of chunks they are
+//! handed. This is the only place that choice is made; callers above
+//! hand over whatever chunks they have.
 
 use crate::adtd::{Adtd, ContentBatchItem, MetaEncoding};
 use crate::prepare::TableChunk;
-use taste_nn::{InferExec, Tape};
+use taste_nn::InferExec;
 use taste_tokenizer::ColumnContent;
 
-/// Which execution backend serves predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Eager, tape-free evaluation into reusable buffers (the default).
-    #[default]
-    TapeFree,
-    /// Record every op on an autodiff tape, as training does — slower,
-    /// kept selectable to A/B the backends on identical inputs.
-    Taped,
-}
-
 /// A reusable serving context: one per worker thread.
+#[derive(Default)]
 pub struct Inferencer {
-    mode: ExecMode,
     exec: InferExec,
 }
 
 impl Inferencer {
-    /// A new inferencer in the given mode; buffers grow on first use.
-    pub fn new(mode: ExecMode) -> Inferencer {
-        Inferencer { mode, exec: InferExec::new() }
-    }
-
-    /// [`Inferencer::new`] with a row-parallel kernel width for the
-    /// tape-free backend (clamped to at least 1). Threaded kernels are
+    /// An inferencer whose kernels may split large matmuls across
+    /// `threads` threads (clamped to at least 1). Threaded kernels are
     /// bit-identical to single-threaded ones, so this only changes speed.
-    pub fn with_kernel_threads(mode: ExecMode, threads: usize) -> Inferencer {
-        let mut inf = Inferencer::new(mode);
-        inf.set_kernel_threads(threads);
-        inf
+    pub fn with_kernel_threads(threads: usize) -> Inferencer {
+        Inferencer { exec: InferExec::with_kernel_threads(threads) }
     }
 
-    /// Re-targets the tape-free backend's row-parallel kernel width.
-    /// [`ExecMode::Taped`] ignores this — the tape always runs the
-    /// single-threaded reference kernels (which produce identical bytes).
-    pub fn set_kernel_threads(&mut self, threads: usize) {
-        self.exec.set_kernel_threads(threads);
-    }
-
-    /// The kernel width the tape-free backend would use (always ≥ 1).
+    /// The kernel width in use (always ≥ 1).
     pub fn kernel_threads(&self) -> usize {
         self.exec.kernel_threads()
     }
 
-    /// The backend this inferencer dispatches to.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// [`Adtd::encode_meta`] on this inferencer's backend.
+    /// [`Adtd::encode_meta`] on this worker's executor.
     pub fn encode_meta(&mut self, model: &Adtd, chunk: &TableChunk) -> MetaEncoding {
-        match self.mode {
-            ExecMode::TapeFree => model.encode_meta_in(&mut self.exec, chunk),
-            ExecMode::Taped => model.encode_meta_ex(&mut Tape::new(), chunk),
-        }
+        model.encode_meta(&mut self.exec.session(&model.store), chunk)
     }
 
-    /// [`Adtd::predict_meta`] on this inferencer's backend.
+    /// [`Adtd::predict_meta`] on this worker's executor.
     pub fn predict_meta(
         &mut self,
         model: &Adtd,
         enc: &MetaEncoding,
         nonmeta: &[Vec<f32>],
     ) -> Vec<Vec<f32>> {
-        match self.mode {
-            ExecMode::TapeFree => model.predict_meta_in(&mut self.exec, enc, nonmeta),
-            ExecMode::Taped => model.predict_meta_ex(&mut Tape::new(), enc, nonmeta),
-        }
+        model.predict_meta(&mut self.exec.session(&model.store), enc, nonmeta)
     }
 
-    /// [`Adtd::predict_content`] on this inferencer's backend.
+    /// [`Adtd::predict_content`] on this worker's executor.
     pub fn predict_content(
         &mut self,
         model: &Adtd,
@@ -92,68 +60,44 @@ impl Inferencer {
         contents: &[Option<ColumnContent>],
         nonmeta: &[Vec<f32>],
     ) -> Vec<Option<Vec<f32>>> {
-        match self.mode {
-            ExecMode::TapeFree => model.predict_content_in(&mut self.exec, enc, contents, nonmeta),
-            ExecMode::Taped => model.predict_content_ex(&mut Tape::new(), enc, contents, nonmeta),
-        }
+        model.predict_content(&mut self.exec.session(&model.store), enc, contents, nonmeta)
     }
 
-    // ---- micro-batch entry points ------------------------------------
-    //
-    // One call serves a micro-batch of chunks drawn from many tables;
-    // outputs are bit-identical to looping the per-chunk methods above.
-
-    /// [`Adtd::encode_meta_batched`] on this inferencer's backend:
-    /// encodes many chunks' metadata in one ragged row-stacked forward
-    /// and scatters the per-layer latents back into one cacheable
-    /// [`MetaEncoding`] per chunk.
+    /// Encodes many chunks' metadata, one cacheable [`MetaEncoding`] per
+    /// chunk in input order; bit-identical to looping
+    /// [`Inferencer::encode_meta`].
     pub fn encode_meta_batch(&mut self, model: &Adtd, chunks: &[&TableChunk]) -> Vec<MetaEncoding> {
-        if chunks.is_empty() {
-            return Vec::new();
-        }
-        match self.mode {
-            ExecMode::TapeFree => model.encode_meta_batched_in(&mut self.exec, chunks),
-            ExecMode::Taped => model.encode_meta_batched_ex(&mut Tape::new(), chunks),
+        match chunks {
+            [chunk] => vec![self.encode_meta(model, chunk)],
+            _ => model.encode_meta_batched(&mut self.exec.session(&model.store), chunks),
         }
     }
 
-    /// [`Adtd::predict_meta_batched`] on this inferencer's backend.
+    /// Classifies every column of every chunk from its metadata encoding;
+    /// bit-identical to looping [`Inferencer::predict_meta`].
     pub fn predict_meta_batch(
         &mut self,
         model: &Adtd,
         items: &[(&MetaEncoding, &[Vec<f32>])],
     ) -> Vec<Vec<Vec<f32>>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        match self.mode {
-            ExecMode::TapeFree => model.predict_meta_batched_in(&mut self.exec, items),
-            ExecMode::Taped => model.predict_meta_batched_ex(&mut Tape::new(), items),
+        match items {
+            [(enc, nonmeta)] => vec![self.predict_meta(model, enc, nonmeta)],
+            _ => model.predict_meta_batched(&mut self.exec.session(&model.store), items),
         }
     }
 
-    /// [`Adtd::predict_content_batched`] on this inferencer's backend:
-    /// gathers each chunk's latent-cache entry, runs the content tower
-    /// once over the ragged row-stacked batch, and scatters per-column
-    /// verdicts back in chunk order.
+    /// Runs the content tower over every chunk's scanned columns and
+    /// returns per-column verdicts in chunk order; bit-identical to
+    /// looping [`Inferencer::predict_content`].
     pub fn predict_content_batch(
         &mut self,
         model: &Adtd,
         items: &[ContentBatchItem<'_>],
     ) -> Vec<Vec<Option<Vec<f32>>>> {
-        if items.is_empty() {
-            return Vec::new();
+        match items {
+            [(enc, contents, nonmeta)] => vec![self.predict_content(model, enc, contents, nonmeta)],
+            _ => model.predict_content_batched(&mut self.exec.session(&model.store), items),
         }
-        match self.mode {
-            ExecMode::TapeFree => model.predict_content_batched_in(&mut self.exec, items),
-            ExecMode::Taped => model.predict_content_batched_ex(&mut Tape::new(), items),
-        }
-    }
-}
-
-impl Default for Inferencer {
-    fn default() -> Inferencer {
-        Inferencer::new(ExecMode::TapeFree)
     }
 }
 
@@ -180,32 +124,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn modes_agree_on_full_two_phase_prediction() {
-        let m = model();
-        let c = chunk(3);
-        let contents = vec![
-            Some(ColumnContent { cells: vec!["city".into(), "name".into()] }),
-            None,
-            Some(ColumnContent { cells: vec!["phone".into()] }),
-        ];
-
-        let mut free = Inferencer::new(ExecMode::TapeFree);
-        let mut taped = Inferencer::new(ExecMode::Taped);
-
-        let enc_f = free.encode_meta(&m, &c);
-        let enc_t = taped.encode_meta(&m, &c);
-        assert_eq!(enc_f.layer_latents, enc_t.layer_latents);
-        assert_eq!(enc_f.col_marker_pos, enc_t.col_marker_pos);
-
-        assert_eq!(
-            free.predict_meta(&m, &enc_f, &c.nonmeta),
-            taped.predict_meta(&m, &enc_t, &c.nonmeta)
-        );
-        assert_eq!(
-            free.predict_content(&m, &enc_f, &contents, &c.nonmeta),
-            taped.predict_content(&m, &enc_t, &contents, &c.nonmeta)
-        );
+    fn contents_for(c: &TableChunk) -> Vec<Option<ColumnContent>> {
+        (0..c.col_texts.len())
+            .map(|j| (j % 2 == 0).then(|| ColumnContent { cells: vec!["phone".into()] }))
+            .collect()
     }
 
     #[test]
@@ -216,10 +138,11 @@ mod tests {
         let c = chunk(3);
         let contents = vec![Some(ColumnContent { cells: vec!["phone".into()] }), None, None];
 
-        let mut one = Inferencer::with_kernel_threads(ExecMode::TapeFree, 1);
-        let mut four = Inferencer::with_kernel_threads(ExecMode::TapeFree, 4);
+        let mut one = Inferencer::with_kernel_threads(1);
+        let mut four = Inferencer::with_kernel_threads(4);
         assert_eq!(one.kernel_threads(), 1);
         assert_eq!(four.kernel_threads(), 4);
+        assert_eq!(Inferencer::default().kernel_threads(), 1);
 
         let enc1 = one.encode_meta(&m, &c);
         let enc4 = four.encode_meta(&m, &c);
@@ -235,53 +158,60 @@ mod tests {
     }
 
     #[test]
-    fn batch_entry_points_agree_with_per_chunk_calls_in_both_modes() {
+    fn batch_entry_points_agree_with_per_chunk_calls() {
         let m = model();
         let chunks: Vec<TableChunk> = (1..=3).map(chunk).collect();
         let refs: Vec<&TableChunk> = chunks.iter().collect();
-        let contents: Vec<Vec<Option<ColumnContent>>> = chunks
+        let contents: Vec<Vec<Option<ColumnContent>>> = chunks.iter().map(contents_for).collect();
+        let mut inf = Inferencer::default();
+        let encs = inf.encode_meta_batch(&m, &refs);
+        let meta_items: Vec<(&MetaEncoding, &[Vec<f32>])> =
+            encs.iter().zip(&chunks).map(|(e, c)| (e, c.nonmeta.as_slice())).collect();
+        let meta_probs = inf.predict_meta_batch(&m, &meta_items);
+        let content_items: Vec<ContentBatchItem<'_>> = encs
             .iter()
-            .map(|c| {
-                (0..c.col_texts.len())
-                    .map(|j| (j % 2 == 0).then(|| ColumnContent { cells: vec!["phone".into()] }))
-                    .collect()
-            })
+            .zip(&contents)
+            .zip(&chunks)
+            .map(|((e, ct), c)| (e, ct.as_slice(), c.nonmeta.as_slice()))
             .collect();
-        for mode in [ExecMode::TapeFree, ExecMode::Taped] {
-            let mut inf = Inferencer::new(mode);
-            let encs = inf.encode_meta_batch(&m, &refs);
-            let meta_items: Vec<(&MetaEncoding, &[Vec<f32>])> =
-                encs.iter().zip(&chunks).map(|(e, c)| (e, c.nonmeta.as_slice())).collect();
-            let meta_probs = inf.predict_meta_batch(&m, &meta_items);
-            let content_items: Vec<ContentBatchItem<'_>> = encs
-                .iter()
-                .zip(&contents)
-                .zip(&chunks)
-                .map(|((e, ct), c)| (e, ct.as_slice(), c.nonmeta.as_slice()))
-                .collect();
-            let content_probs = inf.predict_content_batch(&m, &content_items);
+        let content_probs = inf.predict_content_batch(&m, &content_items);
 
-            let mut solo = Inferencer::new(mode);
-            for (i, c) in chunks.iter().enumerate() {
-                let enc = solo.encode_meta(&m, c);
-                assert_eq!(enc.layer_latents, encs[i].layer_latents, "mode {mode:?}");
-                assert_eq!(solo.predict_meta(&m, &enc, &c.nonmeta), meta_probs[i]);
-                assert_eq!(
-                    solo.predict_content(&m, &enc, &contents[i], &c.nonmeta),
-                    content_probs[i]
-                );
-            }
+        let mut solo = Inferencer::default();
+        for (i, c) in chunks.iter().enumerate() {
+            let enc = solo.encode_meta(&m, c);
+            assert_eq!(enc.layer_latents, encs[i].layer_latents);
+            assert_eq!(solo.predict_meta(&m, &enc, &c.nonmeta), meta_probs[i]);
+            assert_eq!(solo.predict_content(&m, &enc, &contents[i], &c.nonmeta), content_probs[i]);
         }
     }
 
     #[test]
-    fn tape_free_mode_matches_plain_adtd_entry_points() {
+    fn empty_and_one_chunk_batches_match_the_fused_body() {
+        // Which body a batch runs on is decided from its size alone; the
+        // one-chunk shortcut must be invisible in the bytes.
         let m = model();
-        let c = chunk(2);
         let mut inf = Inferencer::default();
-        let enc = inf.encode_meta(&m, &c);
-        let plain = m.encode_meta(&c);
-        assert_eq!(enc.layer_latents, plain.layer_latents);
-        assert_eq!(inf.predict_meta(&m, &enc, &c.nonmeta), m.predict_meta(&plain, &c.nonmeta));
+        assert!(inf.encode_meta_batch(&m, &[]).is_empty());
+        assert!(inf.predict_meta_batch(&m, &[]).is_empty());
+        assert!(inf.predict_content_batch(&m, &[]).is_empty());
+
+        let c = chunk(3);
+        let contents = contents_for(&c);
+        let mut exec = InferExec::new();
+        let encs = inf.encode_meta_batch(&m, &[&c]);
+        let fused = m.encode_meta_batched(&mut exec.session(&m.store), &[&c]);
+        assert_eq!(encs.len(), 1);
+        assert_eq!(encs[0].layer_latents, fused[0].layer_latents);
+        assert_eq!(encs[0].col_marker_pos, fused[0].col_marker_pos);
+        let meta_items = [(&encs[0], c.nonmeta.as_slice())];
+        assert_eq!(
+            inf.predict_meta_batch(&m, &meta_items),
+            m.predict_meta_batched(&mut exec.session(&m.store), &meta_items)
+        );
+        let content_items = [(&encs[0], contents.as_slice(), c.nonmeta.as_slice())];
+        assert_eq!(
+            inf.predict_content_batch(&m, &content_items),
+            m.predict_content_batched(&mut exec.session(&m.store), &content_items)
+        );
     }
 }

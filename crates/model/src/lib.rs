@@ -20,8 +20,8 @@
 //!   classifier heads over shared towers, trained with multi-label BCE
 //!   under the automatic weighted multi-task loss (§4.3–4.4).
 //! * [`infer`] — the serving-side [`infer::Inferencer`]: a per-worker
-//!   handle owning a tape-free executor (or, for A/B runs, routing the
-//!   same forwards through the recording tape).
+//!   handle owning a tape-free executor, and the one place that picks
+//!   between the single-sequence and fused model bodies.
 //! * [`baselines`] — the TURL and Doduo analogs (single-tower,
 //!   content-dependent; §6.2) used for every comparison.
 //! * [`pretrain`] — Masked Language Model pre-training on the unlabeled
@@ -57,7 +57,7 @@ pub use adtd::{Adtd, ContentBatchItem, MetaEncoding};
 pub use baselines::{BaselineKind, SingleTower};
 pub use cache::{CacheRestoreStats, LatentCache};
 pub use config::ModelConfig;
-pub use infer::{ExecMode, Inferencer};
+pub use infer::Inferencer;
 pub use prepare::{ModelInput, TableChunk};
 pub use registry::{ModelRegistry, RegistryLoadOutcome, VersionedModel};
 pub use resilience::{FaultInjection, ResumableReport, TrainResilience};

@@ -247,17 +247,21 @@ impl ModelRegistry {
     /// are kept for inspection but never retried).
     ///
     /// # Errors
-    /// Never fails on corrupt *contents* — that is the fallback path —
-    /// only surfaces nothing when no intact artifact exists.
+    /// Never fails on corrupt *contents* — that is the fallback path,
+    /// and it surfaces nothing when no intact artifact exists. An
+    /// artifact that cannot be *read* may be intact, so its I/O error is
+    /// returned: nothing is renamed and no older version is silently
+    /// served in its place.
     pub fn load_latest(&self) -> Result<RegistryLoadOutcome, TasteError> {
         let mut quarantined = 0;
         for (version, path) in self.list().into_iter().rev() {
             match self.load(version) {
                 Ok(loaded) => return Ok(RegistryLoadOutcome { loaded: Some(loaded), quarantined }),
-                Err(_) => {
+                Err(TasteError::Corrupt(_)) => {
                     let _ = fs::rename(&path, path.with_extension(QUARANTINE_EXT));
                     quarantined += 1;
                 }
+                Err(e) => return Err(e),
             }
         }
         Ok(RegistryLoadOutcome { loaded: None, quarantined })
@@ -355,6 +359,22 @@ mod tests {
         let again = reg.load_latest().unwrap();
         assert_eq!(again.quarantined, 0);
         assert_eq!(again.loaded.unwrap().version, 10);
+        let _ = fs::remove_dir_all(reg.dir());
+    }
+
+    #[test]
+    fn unreadable_newest_is_an_error_not_a_quarantine() {
+        let reg = temp_registry("eio");
+        reg.publish(&model(1), 10).unwrap();
+        // A directory under the newest artifact's name: `fs::read` fails
+        // with an I/O error that says nothing about the bytes.
+        let newest = reg.path_for(20);
+        fs::create_dir(&newest).unwrap();
+
+        assert!(matches!(reg.load_latest(), Err(TasteError::Serde(_))));
+        assert!(newest.is_dir(), "nothing renamed");
+        assert!(!newest.with_extension(QUARANTINE_EXT).exists());
+        assert_eq!(reg.load(10).unwrap().version, 10, "older artifact untouched");
         let _ = fs::remove_dir_all(reg.dir());
     }
 

@@ -379,15 +379,16 @@ mod tests {
         assert!(report.improved(), "losses: {:?}", report.epoch_losses);
         // Both towers should now classify the toy task.
         let input = &inputs[0];
-        let enc = model.encode_meta(&input.chunk);
-        let probs = model.predict_meta(&enc, &input.chunk.nonmeta);
+        let mut inf = crate::Inferencer::default();
+        let enc = inf.encode_meta(&model, &input.chunk);
+        let probs = inf.predict_meta(&model, &enc, &input.chunk.nonmeta);
         assert!(
             probs[0][1] > probs[0][2],
             "metadata tower should prefer type 1 for city: {:?}",
             probs[0]
         );
         let contents: Vec<_> = input.contents.iter().cloned().map(Some).collect();
-        let cprobs = model.predict_content(&enc, &contents, &input.chunk.nonmeta);
+        let cprobs = inf.predict_content(&model, &enc, &contents, &input.chunk.nonmeta);
         let row = cprobs[0].as_ref().unwrap();
         assert!(row[1] > row[2], "content tower should prefer type 1: {row:?}");
     }

@@ -477,8 +477,11 @@ impl CheckpointStore {
     /// are kept for inspection but never retried).
     ///
     /// # Errors
-    /// Never fails on corrupt *contents* — that is the fallback path —
-    /// only surfaces nothing when no intact checkpoint exists.
+    /// Never fails on corrupt *contents* — that is the fallback path,
+    /// and it surfaces nothing when no intact checkpoint exists. A file
+    /// that cannot be *read* is a different matter: it may be intact, so
+    /// the I/O error is returned, nothing is renamed, and no older
+    /// checkpoint is silently loaded in its place.
     pub fn load_latest(&self) -> Result<LoadOutcome, TasteError> {
         let mut quarantined = 0;
         for (_, path) in self.list().into_iter().rev() {
@@ -486,10 +489,11 @@ impl CheckpointStore {
                 Ok(checkpoint) => {
                     return Ok(LoadOutcome { loaded: Some((checkpoint, path)), quarantined })
                 }
-                Err(_) => {
+                Err(TasteError::Corrupt(_)) => {
                     let _ = fs::rename(&path, path.with_extension(QUARANTINE_EXT));
                     quarantined += 1;
                 }
+                Err(e) => return Err(e),
             }
         }
         Ok(LoadOutcome { loaded: None, quarantined })
@@ -612,6 +616,26 @@ mod tests {
         assert_eq!(outcome.quarantined, 1);
         assert!(!newest.exists(), "corrupt file renamed away");
         assert!(newest.with_extension(QUARANTINE_EXT).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreadable_newest_is_an_error_not_a_quarantine() {
+        let dir = std::env::temp_dir().join(format!("taste-ckpt-eio-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cs = CheckpointStore::new(&dir, CheckpointPolicy::default()).unwrap();
+        let (store, opt, mut progress) = toy_state();
+        progress.step = 10;
+        let older = cs.save(&TrainCheckpoint::capture(&store, &opt, &progress)).unwrap();
+        // A directory under the newest checkpoint's name: `fs::read` fails
+        // with an I/O error that says nothing about the bytes.
+        let newest = cs.path_for(20);
+        fs::create_dir(&newest).unwrap();
+
+        assert!(matches!(cs.load_latest(), Err(TasteError::Serde(_))));
+        assert!(newest.is_dir(), "nothing renamed");
+        assert!(!newest.with_extension(QUARANTINE_EXT).exists());
+        assert!(TrainCheckpoint::read(&older).is_ok(), "older checkpoint untouched");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -41,9 +41,9 @@ pub mod prelude {
         Connection, ConnectionPool, Database, FaultProfile, LatencyProfile, ScanMethod,
     };
     pub use taste_framework::{
-        evaluate_report, BatchingConfig, BatchingSummary, DetectionReport, ExecBackend,
-        ExecutionConfig, HardeningConfig, LoadController, OverloadConfig, OverloadSummary,
-        ResilienceSummary, RetryConfig, RolloutConfig, RolloutSummary, TasteConfig, TasteEngine,
+        evaluate_report, BatchingConfig, BatchingSummary, DetectionReport, ExecutionConfig,
+        HardeningConfig, LoadController, OverloadConfig, OverloadSummary, ResilienceSummary,
+        RetryConfig, RolloutConfig, RolloutSummary, TasteConfig, TasteEngine,
     };
     pub use taste_model::registry::{ModelRegistry, VersionedModel};
     pub use taste_model::{Adtd, Inferencer, ModelConfig, TrainConfig};
