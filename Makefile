@@ -1,6 +1,6 @@
 # Convenience targets for the TASTE reproduction workspace.
 
-.PHONY: verify build test clippy crash-resume train-resume repro overload-sweep swap-bench perf-smoke
+.PHONY: verify build test clippy crash-resume train-resume repro overload-sweep swap-bench perf-smoke sched-1core
 
 # The one gate every change must pass.
 verify:
@@ -37,6 +37,12 @@ overload-sweep:
 # canary overhead; writes results/BENCH_swap.json).
 swap-bench:
 	cargo run -p taste-bench --release --bin repro -- swap_bench --smoke
+
+# The engine's unit and integration tests pinned to one core: with no
+# parallelism a lost wake-up or an ordering assumption in the scheduler
+# loop hangs or fails here instead of hiding behind a second core.
+sched-1core:
+	taskset -c 0 cargo test --release -p taste-framework
 
 # The benchmark under perf/ (its own offline workspace) against the
 # current crates: build, its tests, and one traced smoke round. Fails when

@@ -1,11 +1,12 @@
 //! Cross-table micro-batch planning for the inference stages.
 //!
-//! The pipelined scheduler historically dispatched one table's inference
-//! stage per job, so every `P1Infer`/`P2Infer` pass ran the model over a
-//! single table's chunks. Cloud catalogs are dominated by *small* tables,
-//! which leaves the fused kernels running at a fraction of their useful
-//! row count. The [`BatchPlanner`] changes the unit of inference: eligible
-//! inference stages are queued per phase, and one dispatched job serves a
+//! Without a planner the pipelined scheduler dispatches each runnable
+//! inference stage at once, as a batch of one, so every `P1Infer`/`P2Infer`
+//! pass runs the model over a single table's chunks. Cloud catalogs are
+//! dominated by *small* tables, which leaves the fused kernels running at
+//! a fraction of their useful row count. The [`BatchPlanner`] changes how
+//! the scheduler forms an inference job's member list: runnable inference
+//! stages are queued per phase, and one dispatched job serves a
 //! micro-batch of columns drawn from many tables in row-stacked forward
 //! passes (see [`taste_model::Adtd::encode_meta_batched`]).
 //!
@@ -21,9 +22,9 @@
 //!
 //! The planner is a passive, clock-free data structure: the scheduler
 //! thread owns it, supplies `Instant`s, and decides when to ask for a
-//! flush. Shed or cancelled tables are kept out of batches twice — the
-//! scheduler routes tables that already have an outcome around the
-//! planner, and the batched job re-checks every member under its state
+//! flush. Shed or cancelled tables are kept out of fused passes twice — a
+//! shed table's P2 stages leave the stage queue before they reach the
+//! planner, and the inference job re-checks every member under its state
 //! lock at execution time.
 
 use crate::config::BatchingConfig;

@@ -50,19 +50,21 @@ impl ExecutionConfig {
 
 /// Cross-table micro-batching for the inference stages (pipelined mode).
 ///
-/// With batching enabled, the scheduler stops dispatching one table's
-/// `P1Infer`/`P2Infer` stage per job. Eligible inference stages are
-/// instead queued on a [`crate::batcher::BatchPlanner`], and one job
-/// serves a whole micro-batch of columns drawn from many tables in
-/// fused, row-stacked forward passes (see
-/// [`taste_model::Adtd::encode_meta_batched`]). Batched execution is
-/// bit-identical to the per-table path — the knobs below trade latency
-/// against batch fill, never results.
+/// An inference job always serves a list of tables through one executor;
+/// batching decides how the scheduler forms that list. With batching
+/// enabled, runnable `P1Infer`/`P2Infer` stages queue on a
+/// [`crate::batcher::BatchPlanner`], and one job serves a whole
+/// micro-batch of columns drawn from many tables in fused, row-stacked
+/// forward passes (see [`taste_model::Adtd::encode_meta_batched`]).
+/// Disabled, each runnable stage is dispatched at once as a batch of
+/// one. The verdicts are bit-identical either way — the knobs below
+/// trade latency against batch fill, never results.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatchingConfig {
-    /// Master switch; off reproduces per-table inference dispatch
-    /// exactly. Ignored (treated as off) in sequential mode, which has
-    /// no cross-table concurrency to batch.
+    /// Whether the scheduler runs a planner. Off, every inference job
+    /// is a batch of one and the report's batching summary stays all
+    /// zeros. Ignored (treated as off) in sequential mode, which has no
+    /// cross-table concurrency to batch.
     pub enabled: bool,
     /// Flush a phase's queue once this many columns are waiting. A
     /// single table larger than the budget still flushes alone —

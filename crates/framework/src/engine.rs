@@ -3,45 +3,55 @@
 //!
 //! Pipelined mode builds two worker pools — `TP1` for data-preparation
 //! stages (each worker owns one reused database connection, per the
-//! paper's batching guidance) and `TP2` for inference stages — plus a
-//! stage queue holding the four stages of every table in order. Every
-//! worker also owns a long-lived [`Inferencer`] (see
-//! [`crate::config::ExecutionConfig`]), so tape-free inference reuses one
-//! arena of scratch buffers across all tables the worker serves. The
-//! scheduler repeatedly dispatches the *first eligible* stage of the
-//! matching kind to a free worker, where a stage is eligible exactly when
-//! all previous stages of its table have finished (Definition 5.1). The
-//! per-table stage order is thus preserved while stages of different
-//! tables overlap: one table's content scan (I/O sleep) proceeds while
-//! another's inference (CPU) runs.
+//! paper's batching guidance) and `TP2` for inference stages, each worker
+//! owning a long-lived [`Inferencer`] whose scratch buffers persist
+//! across every table it serves — and runs **one** scheduler loop,
+//! [`schedule`], over one stage queue holding the four stages of every
+//! admitted table in order. Each pass dispatches the *first runnable*
+//! prep stage to a free TP1 worker and hands runnable inference stages to
+//! TP2, where a stage is runnable exactly when all previous stages of its
+//! table have finished (Definition 5.1). The per-table stage order is
+//! thus preserved while stages of different tables overlap: one table's
+//! content scan (I/O sleep) proceeds while another's inference (CPU)
+//! runs.
 //!
-//! With [`crate::config::BatchingConfig`] enabled, the unit of inference
-//! becomes a *micro-batch of columns from many tables*: eligible
-//! `P1Infer`/`P2Infer` stages are routed through a [`BatchPlanner`]
-//! instead of dispatching one table per job, and one TP2 job runs a
-//! fused forward pass over every live member, scattering per-table
-//! verdicts back under each owner's state lock. Batches flush when the
-//! column budget fills, when the oldest member hits the flush deadline,
-//! or when the pipeline runs dry — and the batched path is bit-identical
-//! to the per-table path (see `crates/framework/tests/`).
+//! The two optional policies plug into that loop rather than replacing
+//! it:
+//!
+//! * **No [`LoadController`]** (`overload.enabled` off): every table is
+//!   admitted up front, both pools may run `pool_size` stages at once,
+//!   and the shed pass, the queue-wait observation and the
+//!   connection-budget follow-up are skipped. With one, tables enter the
+//!   queue as in-flight slots free, the TP1/TP2 limits follow the AIMD
+//!   governor, and P2 work is shed cheapest-first under pressure.
+//! * **No [`BatchPlanner`]** (`batching.enabled` off): the first
+//!   runnable inference stage goes to a free TP2 worker at once, as a
+//!   batch of one. With one, every runnable inference stage joins the
+//!   planner and a TP2 job serves a *micro-batch of columns from many
+//!   tables*, flushed when the column budget fills, when the oldest
+//!   member hits the flush deadline, or when the pipeline runs dry.
+//!
+//! Either way an inference job is [`run_infer`] over a member list —
+//! also in sequential mode, where every list has one member. It gathers
+//! each member's inputs under that member's own lock, stage clock and
+//! cancel token (a dead, failed, degraded or cancelled member settles
+//! right there and contributes no columns), groups the live ones by
+//! pinned model version (a canary table is a group of one), runs one
+//! fused forward pass per group and scatters the verdicts back under
+//! each owner's lock. The result does not depend on the grouping (see
+//! `crates/framework/tests/`).
 //!
 //! ```text
-//!             TP1 (prep pool)                 TP2 (inference pool)
-//!   table A ─ P1Prep ──┐                 ┌────────────────────────┐
-//!   table B ─ P1Prep ──┼→ BatchPlanner ─→│ P1Infer  [A ++ B ++ C] │
-//!   table C ─ P1Prep ──┘   (size/        └───────────┬────────────┘
-//!                           deadline/                ↓ scatter
-//!   table A ─ P2Prep ──┐    drain)       ┌────────────────────────┐
-//!   table C ─ P2Prep ──┼→ BatchPlanner ─→│ P2Infer  [A ++ C]      │
-//!     (B shed: leaves ─┘                 └───────────┬────────────┘
-//!      the queue)                                    ↓ per-table verdicts
+//!   admission ──→ stage queue ──→ TP1 (prep pool)      TP2 (inference pool)
+//!   (all at once,  4 stages      table A ─ P1Prep ─┐   ┌────────────────────────┐
+//!    or as slots   per table,    table B ─ P1Prep ─┼─→ │ P1Infer  [A ++ B ++ C] │
+//!    free)         in order      table C ─ P1Prep ─┘   └───────────┬────────────┘
+//!                                  planner, or a batch of one      ↓ scatter
+//!                                table A ─ P2Prep ─┐   ┌────────────────────────┐
+//!                                table C ─ P2Prep ─┼─→ │ P2Infer  [A ++ C]      │
+//!                                  (B shed: leaves ┘   └───────────┬────────────┘
+//!                                   the queue)                     ↓ per-table verdicts
 //! ```
-//!
-//! Shed, cancelled, and hazard tables never contribute columns to a
-//! fused pass: the scheduler removes a shed table's P2 stages from the
-//! queue before they reach the planner, and the batched job re-checks
-//! every member under its lock at execution time, routing dead members
-//! to the per-table no-op path.
 //!
 //! Every database stage runs under the retry policy of
 //! [`crate::retry`]: transient faults are retried with backoff behind a
@@ -49,14 +59,19 @@
 //! whose P2 content scan exhausts its budget falls back to its P1
 //! metadata-only verdicts instead of failing the batch (a table whose P1
 //! fails is reported as failed with empty verdicts). Either way a failing
-//! table can never wedge a pool worker or lose its slot in the report.
+//! table can never wedge a pool worker or lose its slot in the report. A
+//! stage error that does fail the batch is recorded on its table, whose
+//! remaining stages become no-ops; every other table still runs to
+//! completion before the first recorded error, in batch order, is
+//! returned.
 //!
 //! On top of that sits the crash-safety layer:
 //!
 //! * **Panic isolation** — every stage executes under `catch_unwind`, so
 //!   a poisoned table is reported as
 //!   [`TableOutcome::Panicked`] while the worker survives and the pools
-//!   stay at full strength.
+//!   stay at full strength. A panic inside a fused pass re-runs its
+//!   members one by one, so only the culprit is lost.
 //! * **Watchdog + cooperative cancellation** — with deadlines configured
 //!   in [`crate::config::HardeningConfig`], a monitor thread flips a
 //!   per-table [`CancelToken`] when a stage (or the batch) overruns;
@@ -87,7 +102,7 @@ use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use taste_core::{LabelSet, Result, ShedReason, TableId, TableOutcome, TasteError};
@@ -110,8 +125,8 @@ pub struct TasteEngine {
 /// Shared per-table pipeline state.
 struct TableState {
     tid: TableId,
-    // Prep outputs are Arc'd so a batched inference job can lift them
-    // out of the lock and run the fused pass without holding any state.
+    // Prep outputs are Arc'd so an inference job can lift them out of
+    // the lock and run the fused pass without holding any state.
     prep1: Option<Arc<P1Prep>>,
     infer1: Option<P1Infer>,
     prep2: Option<Arc<P2Prep>>,
@@ -147,24 +162,22 @@ struct BatchCtx {
     clocks: Arc<StageClocks>,
     journal: Option<Mutex<JournalWriter>>,
     finished_final: AtomicUsize,
-    /// Present only in pipelined runs with overload control enabled.
+    /// Present only in pipelined runs with overload control enabled;
+    /// without one the scheduler admits every table at once.
     controller: Option<Arc<LoadController>>,
     /// Per-table admission deadlines enforced by the watchdog.
     deadlines: Option<Arc<TableDeadlines>>,
     /// When the batch entered the engine; latency baseline for tables
     /// that never pass through the admission gate.
     batch_start: Instant,
-    /// Raised when any table records a batch-failing error, so the
-    /// overload scheduler stops waiting on admission slots that will
-    /// never free.
-    batch_error: AtomicBool,
     /// Progress event: workers notify after every job, the watchdog on
     /// every fresh cancellation, so the scheduler blocks instead of
     /// polling.
     wake: Arc<Wakeup>,
-    /// Micro-batching telemetry: live member counts are recorded by the
-    /// batched jobs as they execute; the scheduler folds the planner's
-    /// flush accounting in when it exits.
+    /// Micro-batching telemetry: every inference job records the members
+    /// its fused passes served; a scheduler that ran a planner folds the
+    /// flush accounting in when it exits, which is what makes the counts
+    /// a report (`enabled`).
     batching: Mutex<BatchingSummary>,
     /// The hot-reload coordinator, when rollout is enabled: tables pin
     /// their serving model through it and canary tables report shadow
@@ -187,8 +200,17 @@ impl StageKind {
         Self::ORDER.iter().position(|&s| s == self).expect("member")
     }
 
-    fn is_prep(self) -> bool {
-        matches!(self, StageKind::P1Prep | StageKind::P2Prep)
+    /// The planner phase of an inference stage; `None` for a prep stage.
+    fn phase(self) -> Option<BatchPhase> {
+        match self {
+            StageKind::P1Infer => Some(BatchPhase::P1),
+            StageKind::P2Infer => Some(BatchPhase::P2),
+            StageKind::P1Prep | StageKind::P2Prep => None,
+        }
+    }
+
+    fn is_p2(self) -> bool {
+        matches!(self, StageKind::P2Prep | StageKind::P2Infer)
     }
 }
 
@@ -343,7 +365,6 @@ impl TasteEngine {
             controller,
             deadlines: deadlines.clone(),
             batch_start: Instant::now(),
-            batch_error: AtomicBool::new(false),
             wake: Arc::clone(&wake),
             batching: Mutex::new(BatchingSummary::default()),
             rollout: self.rollout.clone(),
@@ -374,6 +395,11 @@ impl TasteEngine {
         let ledger = db.ledger().snapshot().since(&ledger_before);
         let (cache_hits, cache_misses) = self.cache.stats();
 
+        // A batch-failing stage error outranks whatever it left
+        // unfinished: surface the first one recorded, in batch order.
+        if let Some(e) = states.iter().find_map(|s| s.0.lock().error.take()) {
+            return Err(e);
+        }
         let mut results = Vec::with_capacity(states.len());
         let mut total_columns = 0u64;
         for state in states {
@@ -381,9 +407,6 @@ impl TasteEngine {
                 .map_err(|_| TasteError::Scheduler("state still shared after completion".into()))?
                 .0
                 .into_inner();
-            if let Some(e) = st.error {
-                return Err(e);
-            }
             let finals = st
                 .finals
                 .ok_or_else(|| TasteError::Scheduler(format!("table {} never finished", st.tid.0)))?;
@@ -400,7 +423,9 @@ impl TasteEngine {
             });
         }
         let overload = ctx.controller.as_ref().map_or_else(OverloadSummary::default, |c| c.summary());
-        let batching = ctx.batching.lock().clone();
+        // Served-member counts are batching telemetry only when a planner
+        // formed the batches (it sets `enabled`); otherwise all zeros.
+        let batching = Some(ctx.batching.lock().clone()).filter(|b| b.enabled).unwrap_or_default();
         let rollout = ctx.rollout.as_ref().map_or_else(Default::default, |r| r.summary());
         Ok(DetectionReport {
             approach: "TASTE".into(),
@@ -461,13 +486,16 @@ impl TasteEngine {
         let mut inf = self.config.execution.inferencer();
         for (t, state) in states.iter().enumerate() {
             for stage in StageKind::ORDER {
-                run_stage(stage, t, state, Some(&conn), ctx, &mut inf);
+                match stage.phase() {
+                    None => run_stage(stage, t, state, Some(&conn), ctx),
+                    Some(phase) => run_infer(phase, &[(t, Arc::clone(state))], ctx, &mut inf),
+                }
             }
         }
         Ok(states)
     }
 
-    /// Pipelined mode: Algorithm 1.
+    /// Pipelined mode: the two worker pools around [`schedule`].
     fn run_pipelined(
         &self,
         db: &Arc<Database>,
@@ -477,17 +505,16 @@ impl TasteEngine {
         let states = self.new_states(tables);
         let pool = self.config.pool_size;
 
-        // TP1: preparation workers. In legacy mode each worker owns one
-        // reused connection; with overload control every worker draws
+        // TP1: preparation workers. Each worker owns one reused
+        // connection; with overload control every worker instead draws
         // from one shared FIFO connection pool whose limit the AIMD
         // governor tunes at runtime. Either way a worker that cannot get
         // a connection still drains jobs (with none), so prep stages
         // degrade instead of deadlocking.
-        let (prep_tx, prep_rx) = unbounded::<Job>();
+        let (prep_tx, prep_rx) = unbounded::<PrepJob>();
         let tp1_active = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::with_capacity(pool * 2);
         let retry_cfg = self.config.retry;
-        let exec_cfg = self.config.execution;
         let conn_pool = ctx.controller.as_ref().map(|_| {
             // Short acquire slices keep a saturated pool from stalling
             // the shedding loop; acquire_with_retry supplies the backoff.
@@ -498,35 +525,25 @@ impl TasteEngine {
             let rx = prep_rx.clone();
             let active = Arc::clone(&tp1_active);
             let wake = Arc::clone(&ctx.wake);
-            if let Some(cpool) = &conn_pool {
-                let cpool = Arc::clone(cpool);
-                handles.push(std::thread::spawn(move || {
-                    let mut inf = exec_cfg.inferencer();
-                    while let Ok(job) = rx.recv() {
-                        let conn = acquire_with_retry(&cpool, &retry_cfg).ok();
-                        job(conn.as_deref(), &mut inf);
-                        drop(conn);
-                        active.fetch_sub(1, Ordering::SeqCst);
-                        wake.notify();
+            let cpool = conn_pool.clone();
+            let db = Arc::clone(db);
+            handles.push(std::thread::spawn(move || {
+                let own = if cpool.is_none() { connect_with_retry(&db, &retry_cfg).ok() } else { None };
+                while let Ok(job) = rx.recv() {
+                    match &cpool {
+                        Some(cpool) => job(acquire_with_retry(cpool, &retry_cfg).ok().as_deref()),
+                        None => job(own.as_ref()),
                     }
-                }));
-            } else {
-                let db = Arc::clone(db);
-                handles.push(std::thread::spawn(move || {
-                    let conn = connect_with_retry(&db, &retry_cfg).ok();
-                    let mut inf = exec_cfg.inferencer();
-                    while let Ok(job) = rx.recv() {
-                        job(conn.as_ref(), &mut inf);
-                        active.fetch_sub(1, Ordering::SeqCst);
-                        wake.notify();
-                    }
-                }));
-            }
+                    active.fetch_sub(1, Ordering::SeqCst);
+                    wake.notify();
+                }
+            }));
         }
         // TP2: inference workers, each owning a long-lived inferencer
         // whose scratch buffers persist across every table it serves.
-        let (infer_tx, infer_rx) = unbounded::<Job>();
+        let (infer_tx, infer_rx) = unbounded::<InferJob>();
         let tp2_active = Arc::new(AtomicUsize::new(0));
+        let exec_cfg = self.config.execution;
         for _ in 0..pool {
             let rx = infer_rx.clone();
             let active = Arc::clone(&tp2_active);
@@ -534,122 +551,13 @@ impl TasteEngine {
             handles.push(std::thread::spawn(move || {
                 let mut inf = exec_cfg.inferencer();
                 while let Ok(job) = rx.recv() {
-                    job(None, &mut inf);
+                    job(&mut inf);
                     active.fetch_sub(1, Ordering::SeqCst);
                     wake.notify();
                 }
             }));
         }
-        // Cross-table micro-batching: eligible inference stages are
-        // routed through the planner instead of dispatching per table.
-        let mut planner =
-            self.config.batching.enabled.then(|| BatchPlanner::new(self.config.batching));
-
-        if let Some(ctrl) = ctx.controller.clone() {
-            let pools = Pools {
-                prep_tx: &prep_tx,
-                infer_tx: &infer_tx,
-                tp1_active: &tp1_active,
-                tp2_active: &tp2_active,
-            };
-            schedule_overload(&states, ctx, &ctrl, conn_pool.as_deref(), pools, planner.as_mut());
-        } else {
-            // Stage queue: four stages per table, generated in order.
-            let mut queue: Vec<(usize, StageKind)> = (0..tables.len())
-                .flat_map(|t| StageKind::ORDER.into_iter().map(move |s| (t, s)))
-                .collect();
-
-            loop {
-                if queue.is_empty() && planner.as_ref().is_none_or(BatchPlanner::is_empty) {
-                    break;
-                }
-                // Snapshot the wake generation before scanning, so any
-                // progress signalled during the pass cuts the wait short.
-                let seen = ctx.wake.gen();
-                let mut dispatched = false;
-                if tp1_active.load(Ordering::SeqCst) < pool {
-                    if let Some(pos) = first_eligible(&queue, &states, true) {
-                        let (t, stage) = queue.remove(pos);
-                        tp1_active.fetch_add(1, Ordering::SeqCst);
-                        dispatch(&prep_tx, t, stage, &states, ctx);
-                        dispatched = true;
-                    }
-                }
-                if let Some(planner) = planner.as_mut() {
-                    // Batched path: every currently eligible inference
-                    // stage moves into the planner (that is where the
-                    // cross-table fill comes from), and a full-or-late
-                    // batch flushes to a free TP2 worker.
-                    let now = Instant::now();
-                    let mut i = 0;
-                    while i < queue.len() {
-                        let (t, stage) = queue[i];
-                        if !stage.is_prep()
-                            && states[t].1.load(Ordering::SeqCst) == stage.index()
-                        {
-                            queue.remove(i);
-                            planner.push(phase_of(stage), t, batch_cols(stage, &states[t]), now);
-                            dispatched = true;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if tp2_active.load(Ordering::SeqCst) < pool {
-                        for phase in [BatchPhase::P1, BatchPhase::P2] {
-                            if let Some(reason) = planner.ready(phase, now) {
-                                let batch = planner.flush(phase, reason);
-                                tp2_active.fetch_add(1, Ordering::SeqCst);
-                                dispatch_batched(&infer_tx, phase, batch, &states, ctx);
-                                dispatched = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !dispatched
-                        && !planner.is_empty()
-                        && tp1_active.load(Ordering::SeqCst) == 0
-                        && tp2_active.load(Ordering::SeqCst) == 0
-                    {
-                        // The pipeline ran dry: waiting out the deadline
-                        // cannot improve fill, so flush what is queued.
-                        for phase in [BatchPhase::P1, BatchPhase::P2] {
-                            let batch = planner.flush(phase, FlushReason::Drain);
-                            if !batch.is_empty() {
-                                tp2_active.fetch_add(1, Ordering::SeqCst);
-                                dispatch_batched(&infer_tx, phase, batch, &states, ctx);
-                                dispatched = true;
-                                break;
-                            }
-                        }
-                    }
-                } else if tp2_active.load(Ordering::SeqCst) < pool {
-                    if let Some(pos) = first_eligible(&queue, &states, false) {
-                        let (t, stage) = queue.remove(pos);
-                        tp2_active.fetch_add(1, Ordering::SeqCst);
-                        dispatch(&infer_tx, t, stage, &states, ctx);
-                        dispatched = true;
-                    }
-                }
-                if !dispatched {
-                    // Block until a worker, the watchdog, or a halt
-                    // signals progress — bounded by the next batch flush
-                    // deadline (and a coarse safety net).
-                    let mut timeout = Duration::from_millis(1);
-                    if let Some(planner) = &planner {
-                        let now = Instant::now();
-                        for phase in [BatchPhase::P1, BatchPhase::P2] {
-                            if let Some(dl) = planner.next_deadline(phase) {
-                                timeout = timeout.min(dl.saturating_duration_since(now));
-                            }
-                        }
-                    }
-                    ctx.wake.wait_past(seen, timeout.max(Duration::from_micros(50)));
-                }
-            }
-        }
-        if let Some(planner) = &planner {
-            fold_planner_summary(ctx, planner);
-        }
+        schedule(&states, ctx, conn_pool.as_deref(), (&prep_tx, &tp1_active), (&infer_tx, &tp2_active));
         drop(prep_tx);
         drop(infer_tx);
         for h in handles {
@@ -659,64 +567,71 @@ impl TasteEngine {
     }
 }
 
-type Job = Box<dyn FnOnce(Option<&Connection>, &mut Inferencer) + Send>;
+/// A TP1 job: one prep stage, run on whatever connection the worker has.
+type PrepJob = Box<dyn FnOnce(Option<&Connection>) + Send>;
+/// A TP2 job: one [`run_infer`] call on the worker's inferencer.
+type InferJob = Box<dyn FnOnce(&mut Inferencer) + Send>;
 
-/// The two worker pools' dispatch handles, bundled for the scheduler.
-struct Pools<'a> {
-    prep_tx: &'a Sender<Job>,
-    infer_tx: &'a Sender<Job>,
-    tp1_active: &'a AtomicUsize,
-    tp2_active: &'a AtomicUsize,
-}
-
-/// One stage waiting in the overload scheduler's queue. `since` is
-/// stamped the first time the stage is seen *runnable* (all earlier
-/// stages of its table done); dispatch delay from that moment is the
-/// standing-queue signal fed to the controller.
+/// One stage waiting in the scheduler's queue. `since` is stamped the
+/// first time the stage is seen *runnable* (all earlier stages of its
+/// table done); dispatch delay from that moment is the standing-queue
+/// signal fed to the overload controller.
 struct PendingStage {
     t: usize,
     stage: StageKind,
     since: Option<Instant>,
 }
 
-/// The overload-controlled variant of the Algorithm 1 scheduler loop:
-/// admission-gated, backpressured, deadline-aware, and AIMD-throttled.
+const PHASES: [BatchPhase; 2] = [BatchPhase::P1, BatchPhase::P2];
+
+/// The Algorithm 1 scheduler loop, the only one: a stage queue, a
+/// runnable test (Definition 5.1), one prep dispatch and one inference
+/// dispatch per pass, and a blocking wait when a pass made no progress.
 ///
-/// Differences from the legacy loop: tables pass through the
-/// [`LoadController`]'s admission gate before their stages enter the
-/// queue (rejected tables never run and report
-/// [`TableOutcome::Rejected`]); dispatch is gated on the controller's
-/// adaptive TP1/TP2 limits instead of the fixed pool size; the shared
-/// connection pool's limit follows the AIMD connection budget; and P2
-/// work is shed — table by table, cheapest first — whenever the
-/// controller reports pressure.
-fn schedule_overload(
+/// With a [`LoadController`] in `ctx` the loop is admission-gated,
+/// backpressured, deadline-aware and AIMD-throttled: tables pass the
+/// admission gate before their stages enter the queue (rejected tables
+/// never run and report [`TableOutcome::Rejected`]); dispatch is gated on
+/// the controller's adaptive TP1/TP2 limits instead of the fixed pool
+/// size; the shared connection pool's limit follows the AIMD connection
+/// budget; and P2 work is shed — table by table, cheapest first —
+/// whenever the controller reports pressure. Without one, every table is
+/// queued at once and none of that runs.
+fn schedule(
     states: &[Shared],
     ctx: &Arc<BatchCtx>,
-    ctrl: &Arc<LoadController>,
     conn_pool: Option<&ConnectionPool>,
-    pools: Pools<'_>,
-    mut planner: Option<&mut BatchPlanner>,
+    (prep_tx, tp1_active): (&Sender<PrepJob>, &AtomicUsize),
+    (infer_tx, tp2_active): (&Sender<InferJob>, &AtomicUsize),
 ) {
+    let ctrl = ctx.controller.as_deref();
+    let stages_of =
+        |t: usize| StageKind::ORDER.into_iter().map(move |stage| PendingStage { t, stage, since: None });
     // Offer every table up front; tables beyond the occupancy bound are
     // rejected immediately and never enter the pipeline.
     let mut waiting: VecDeque<usize> = VecDeque::new();
+    let mut queue: Vec<PendingStage> = Vec::new();
     for (t, state) in states.iter().enumerate() {
-        if ctrl.offer() {
-            waiting.push_back(t);
-        } else {
-            let mut st = state.0.lock();
-            st.outcome = Some(TableOutcome::Rejected);
-            st.finals = Some(Vec::new());
+        match ctrl {
+            None => queue.extend(stages_of(t)),
+            Some(ctrl) if ctrl.offer() => waiting.push_back(t),
+            Some(_) => {
+                let mut st = state.0.lock();
+                st.outcome = Some(TableOutcome::Rejected);
+                st.finals = Some(Vec::new());
+            }
         }
     }
-    let mut queue: Vec<PendingStage> = Vec::new();
+    // The one point where the two dispatch styles part: with a planner,
+    // runnable inference stages queue up for a cross-table micro-batch;
+    // without, each is dispatched at once as a batch of one.
+    let mut planner = ctx.cfg.batching.enabled.then(|| BatchPlanner::new(ctx.cfg.batching));
     let mut applied_conn_limit = 0usize;
     loop {
         // Promote queued tables into the pipeline as in-flight slots
         // free up, stamping admission time and completion deadline.
         while !waiting.is_empty() {
-            let Some(adm) = ctrl.promote() else { break };
+            let Some(adm) = ctrl.and_then(LoadController::promote) else { break };
             let t = waiting.pop_front().expect("waiting mirrors the admission queue");
             let now = Instant::now();
             {
@@ -728,109 +643,120 @@ fn schedule_overload(
                     dls.set(t, dl);
                 }
             }
-            queue.extend(
-                StageKind::ORDER.into_iter().map(|stage| PendingStage { t, stage, since: None }),
-            );
+            queue.extend(stages_of(t));
         }
-        if queue.is_empty()
-            && waiting.is_empty()
-            && planner.as_ref().is_none_or(|p| p.is_empty())
-        {
+        if queue.is_empty() && waiting.is_empty() && planner.as_ref().is_none_or(BatchPlanner::is_empty) {
             break;
         }
         // Snapshot the wake generation before scanning, so any progress
         // signalled during the pass cuts the wait short.
         let seen = ctx.wake.gen();
-        // Follow the AIMD connection budget.
-        if let Some(cpool) = conn_pool {
-            let limit = ctrl.conn_limit();
-            if limit != applied_conn_limit {
-                applied_conn_limit = cpool.set_limit(limit);
-            }
-        }
-        ctrl.note_queue_depth(queue.len() + planner.as_ref().map_or(0, |p| p.items()));
         let now = Instant::now();
         for e in queue.iter_mut() {
             if e.since.is_none() && states[e.t].1.load(Ordering::SeqCst) == e.stage.index() {
                 e.since = Some(now);
             }
         }
-        shed_pressured_p2(&mut queue, states, ctx, ctrl, now);
+        let (mut tp1_limit, mut tp2_limit) = (ctx.cfg.pool_size, ctx.cfg.pool_size);
+        if let Some(ctrl) = ctrl {
+            // Follow the AIMD budgets.
+            if let Some(cpool) = conn_pool {
+                let limit = ctrl.conn_limit();
+                if limit != applied_conn_limit {
+                    applied_conn_limit = cpool.set_limit(limit);
+                }
+            }
+            (tp1_limit, tp2_limit) = (ctrl.tp1_limit(), ctrl.tp2_limit());
+            ctrl.note_queue_depth(queue.len() + planner.as_ref().map_or(0, BatchPlanner::items));
+            shed_pressured_p2(&mut queue, states, ctx, ctrl, now);
+        }
         let mut dispatched = false;
-        if pools.tp1_active.load(Ordering::SeqCst) < ctrl.tp1_limit() {
-            if let Some(pos) = queue.iter().position(|e| e.stage.is_prep() && e.since.is_some()) {
-                let e = queue.remove(pos);
-                // The standing-queue signal is measured on the prep
-                // (TP1) queue only: that is where cloud-RDS contention
-                // manifests, and inference dispatches draining quickly
-                // must not mask a congested database.
-                ctrl.observe_queue_wait(e.since.map_or(Duration::ZERO, |s| now.duration_since(s)), now);
-                pools.tp1_active.fetch_add(1, Ordering::SeqCst);
-                dispatch(pools.prep_tx, e.t, e.stage, states, ctx);
+        if tp1_active.load(Ordering::SeqCst) < tp1_limit {
+            if let Some(pos) = queue.iter().position(|e| e.stage.phase().is_none() && e.since.is_some()) {
+                let PendingStage { t, stage, since } = queue.remove(pos);
+                if let Some(ctrl) = ctrl {
+                    // The standing-queue signal is measured on the prep
+                    // (TP1) queue only: that is where cloud-RDS contention
+                    // manifests, and inference dispatches draining quickly
+                    // must not mask a congested database.
+                    ctrl.observe_queue_wait(since.map_or(Duration::ZERO, |s| now.duration_since(s)), now);
+                }
+                tp1_active.fetch_add(1, Ordering::SeqCst);
+                let (state, ctx) = (Arc::clone(&states[t]), Arc::clone(ctx));
+                let job: PrepJob = Box::new(move |conn| run_stage(stage, t, &state, conn, &ctx));
+                prep_tx.send(job).expect("workers outlive the scheduler loop");
                 dispatched = true;
             }
         }
-        if let Some(planner) = planner.as_deref_mut() {
-            // Batched path: runnable inference stages move into the
-            // planner. A table shed *before* this point never gets here
-            // (its P2 stages were retained out of the queue above), so a
-            // shed table's columns leave the pipeline without ever
-            // joining a batch.
-            let mut i = 0;
-            while i < queue.len() {
-                if !queue[i].stage.is_prep() && queue[i].since.is_some() {
-                    let e = queue.remove(i);
-                    planner.push(phase_of(e.stage), e.t, batch_cols(e.stage, &states[e.t]), now);
-                    dispatched = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if pools.tp2_active.load(Ordering::SeqCst) < ctrl.tp2_limit() {
-                for phase in [BatchPhase::P1, BatchPhase::P2] {
-                    if let Some(reason) = planner.ready(phase, now) {
-                        let batch = planner.flush(phase, reason);
-                        pools.tp2_active.fetch_add(1, Ordering::SeqCst);
-                        dispatch_batched(pools.infer_tx, phase, batch, states, ctx);
+        let tp2_free = tp2_active.load(Ordering::SeqCst) < tp2_limit;
+        let batch: Option<(BatchPhase, Vec<usize>)> = match planner.as_mut() {
+            Some(planner) => {
+                // Every runnable inference stage moves into the planner
+                // (that is where the cross-table fill comes from). A
+                // table shed above never gets here — its P2 stages left
+                // the queue — so a shed table's columns never join a
+                // batch.
+                queue.retain(|e| match (e.stage.phase(), e.since) {
+                    (Some(phase), Some(_)) => {
+                        planner.push(phase, e.t, batch_cols(e.stage, &states[e.t]), now);
                         dispatched = true;
-                        break;
+                        false
                     }
+                    _ => true,
+                });
+                // A full-or-late batch flushes to a free TP2 worker.
+                let mut flushed = None;
+                if tp2_free {
+                    flushed = PHASES
+                        .into_iter()
+                        .find_map(|p| planner.ready(p, now).map(|why| (p, planner.flush(p, why))));
                 }
-            }
-            if !dispatched
-                && !planner.is_empty()
-                && pools.tp1_active.load(Ordering::SeqCst) == 0
-                && pools.tp2_active.load(Ordering::SeqCst) == 0
-            {
-                for phase in [BatchPhase::P1, BatchPhase::P2] {
-                    let batch = planner.flush(phase, FlushReason::Drain);
-                    if !batch.is_empty() {
-                        pools.tp2_active.fetch_add(1, Ordering::SeqCst);
-                        dispatch_batched(pools.infer_tx, phase, batch, states, ctx);
-                        dispatched = true;
-                        break;
-                    }
+                if flushed.is_none()
+                    && !dispatched
+                    && tp1_active.load(Ordering::SeqCst) == 0
+                    && tp2_active.load(Ordering::SeqCst) == 0
+                {
+                    // The pipeline ran dry: waiting out the deadline
+                    // cannot improve fill, so flush what is queued.
+                    flushed = PHASES
+                        .into_iter()
+                        .map(|p| (p, planner.flush(p, FlushReason::Drain)))
+                        .find(|(_, items)| !items.is_empty());
                 }
+                flushed.map(|(phase, items)| (phase, items.iter().map(|it| it.t).collect()))
             }
-        } else if pools.tp2_active.load(Ordering::SeqCst) < ctrl.tp2_limit() {
-            if let Some(pos) = queue.iter().position(|e| !e.stage.is_prep() && e.since.is_some()) {
-                let e = queue.remove(pos);
-                pools.tp2_active.fetch_add(1, Ordering::SeqCst);
-                dispatch(pools.infer_tx, e.t, e.stage, states, ctx);
-                dispatched = true;
-            }
+            None if tp2_free => queue
+                .iter()
+                .position(|e| e.stage.phase().is_some() && e.since.is_some())
+                .map(|pos| queue.remove(pos))
+                .and_then(|e| Some((e.stage.phase()?, vec![e.t]))),
+            None => None,
+        };
+        if let Some((phase, ts)) = batch {
+            tp2_active.fetch_add(1, Ordering::SeqCst);
+            let members: Vec<(usize, Shared)> = ts.into_iter().map(|t| (t, Arc::clone(&states[t]))).collect();
+            let ctx = Arc::clone(ctx);
+            let job: InferJob = Box::new(move |inf| run_infer(phase, &members, &ctx, inf));
+            infer_tx.send(job).expect("workers outlive the scheduler loop");
+            dispatched = true;
         }
         if !dispatched {
-            if ctx.batch_error.load(Ordering::SeqCst) {
-                // The batch is failing: stop admitting, let dispatched
-                // stages drain, and surface the error from run().
-                break;
-            }
-            // Deadline shedding and the AIMD governor need periodic
-            // now-driven passes even without progress events, so the
-            // wait is capped well below the control loop's timescales.
-            ctx.wake.wait_past(seen, Duration::from_micros(500));
+            // Block until a worker, the watchdog, or a halt signals
+            // progress — bounded by the next batch flush deadline and a
+            // coarse safety net, which a controller tightens because
+            // deadline shedding and the AIMD governor need periodic
+            // now-driven passes even without progress events.
+            let cap = Duration::from_micros(if ctrl.is_some() { 500 } else { 1000 });
+            let now = Instant::now();
+            let timeout = planner
+                .iter()
+                .flat_map(|p| PHASES.into_iter().filter_map(|phase| p.next_deadline(phase)))
+                .fold(cap, |acc, dl| acc.min(dl.saturating_duration_since(now)));
+            ctx.wake.wait_past(seen, timeout.max(Duration::from_micros(50)));
         }
+    }
+    if let Some(planner) = &planner {
+        fold_planner_summary(ctx, planner);
     }
 }
 
@@ -841,8 +767,8 @@ fn schedule_overload(
 fn shed_pressured_p2(
     queue: &mut Vec<PendingStage>,
     states: &[Shared],
-    ctx: &Arc<BatchCtx>,
-    ctrl: &Arc<LoadController>,
+    ctx: &BatchCtx,
+    ctrl: &LoadController,
     now: Instant,
 ) {
     let mut idx = 0;
@@ -894,29 +820,9 @@ fn shed_pressured_p2(
     }
 }
 
-fn dispatch(tx: &Sender<Job>, t: usize, stage: StageKind, states: &[Shared], ctx: &Arc<BatchCtx>) {
-    let state = Arc::clone(&states[t]);
-    let ctx = Arc::clone(ctx);
-    let job: Job = if stage.is_prep() {
-        Box::new(move |conn, inf| run_stage(stage, t, &state, conn, &ctx, inf))
-    } else {
-        Box::new(move |_conn, inf| run_stage(stage, t, &state, None, &ctx, inf))
-    };
-    tx.send(job).expect("workers outlive the scheduler loop");
-}
-
-/// The planner phase an inference stage belongs to.
-fn phase_of(stage: StageKind) -> BatchPhase {
-    match stage {
-        StageKind::P1Infer => BatchPhase::P1,
-        StageKind::P2Infer => BatchPhase::P2,
-        other => unreachable!("{other:?} is a prep stage, never batched"),
-    }
-}
-
 /// The columns an inference stage would contribute to a batch: total
 /// columns for P1, uncertain columns for P2, zero for tables that will
-/// take the per-table no-op path anyway.
+/// settle in the gather step anyway.
 fn batch_cols(stage: StageKind, state: &Shared) -> usize {
     let st = state.0.lock();
     if st.error.is_some() || st.outcome.is_some() || st.resilience.failed {
@@ -947,23 +853,8 @@ fn fold_planner_summary(ctx: &BatchCtx, planner: &BatchPlanner) {
     take_flush(&mut b.p2, s.p2);
 }
 
-/// Ships one flushed micro-batch to the inference pool as a single job.
-fn dispatch_batched(
-    tx: &Sender<Job>,
-    phase: BatchPhase,
-    batch: Vec<crate::batcher::BatchItem>,
-    states: &[Shared],
-    ctx: &Arc<BatchCtx>,
-) {
-    let members: Vec<(usize, Shared)> =
-        batch.iter().map(|b| (b.t, Arc::clone(&states[b.t]))).collect();
-    let ctx = Arc::clone(ctx);
-    let job: Job = Box::new(move |_conn, inf| run_batched_stage(phase, &members, &ctx, inf));
-    tx.send(job).expect("workers outlive the scheduler loop");
-}
-
 /// Advances a table's stage counter by one slot and finalizes the table
-/// when its last slot lands (shared by the per-table and batched paths).
+/// when its last slot lands.
 fn advance_stage(t: usize, state: &Shared, ctx: &BatchCtx) {
     let done = state.1.fetch_add(1, Ordering::SeqCst) + 1;
     if done == StageKind::ORDER.len() {
@@ -971,255 +862,213 @@ fn advance_stage(t: usize, state: &Shared, ctx: &BatchCtx) {
     }
 }
 
-/// Executes one flushed micro-batch on a TP2 worker. Members that are
-/// dead on arrival — errored, hazard-stamped, cancelled, failed, or
-/// missing upstream state — are routed through [`run_stage`] so their
-/// per-table bookkeeping (no-op, hazard mapping, degraded fallback) is
-/// exactly the unbatched behavior; the rest run one fused pass.
-fn run_batched_stage(
-    phase: BatchPhase,
-    members: &[(usize, Shared)],
-    ctx: &BatchCtx,
-    inf: &mut Inferencer,
-) {
-    match phase {
-        BatchPhase::P1 => run_batched_p1(members, ctx, inf),
-        BatchPhase::P2 => run_batched_p2(members, ctx, inf),
-    }
+/// One live member of an inference job: its inputs, lifted out of the
+/// table lock by the gather step.
+struct Live<'a> {
+    t: usize,
+    state: &'a Shared,
+    tid: TableId,
+    prep1: Arc<P1Prep>,
+    /// P1 verdicts and scanned content — `Some` exactly in phase 2.
+    p2: Option<(P1Infer, Arc<P2Prep>)>,
+    pin: Pinned,
 }
 
-/// Groups live batch members by their pinned model version, preserving
-/// member order within each group. With rollout disabled there is
-/// exactly one group (the fixed batch model); across a mid-run swap,
-/// tables pinned to different versions each get their own fused pass —
-/// a fused pass never mixes weights.
-fn version_groups<T>(
-    live: &[T],
-    pin_of: impl for<'b> Fn(&'b T) -> &'b Pinned,
-) -> Vec<(Arc<Adtd>, Vec<usize>)> {
-    let mut groups: Vec<(u64, Arc<Adtd>, Vec<usize>)> = Vec::new();
-    for (i, m) in live.iter().enumerate() {
-        let pin = pin_of(m);
-        match groups.iter_mut().find(|g| g.0 == pin.version) {
-            Some(g) => g.2.push(i),
-            None => groups.push((pin.version, Arc::clone(&pin.model), vec![i])),
-        }
-    }
-    groups.into_iter().map(|(_, model, idxs)| (model, idxs)).collect()
+/// What one member's inference stage writes back under its lock.
+enum StageOut {
+    /// P1 verdicts — plus, for a canary member whose candidate turned
+    /// out numerically broken, the incumbent pin its P2 must run on.
+    Infer1(P1Infer, Option<Pinned>),
+    /// Final admitted sets.
+    Finals(Vec<LabelSet>),
 }
 
-fn run_batched_p1(members: &[(usize, Shared)], ctx: &BatchCtx, inf: &mut Inferencer) {
-    struct LiveP1<'a> {
-        t: usize,
-        state: &'a Shared,
-        tid: TableId,
-        prep: Arc<P1Prep>,
-        pin: Pinned,
-    }
-    let mut live: Vec<LiveP1<'_>> = Vec::new();
+/// Executes one inference stage for every member of a batch — a flushed
+/// micro-batch, or a single table (unbatched dispatch, sequential mode,
+/// the panic fallback below): the one inference executor.
+///
+/// *Gather*: each member runs its share of the stage under its own lock,
+/// stage clock and cancel token, inside the [`guarded`] envelope — the
+/// injected fault, then lifting its inputs out of the lock. A member that
+/// is settled, cancelled, failed, degraded without content, or that
+/// panics or stalls right there finishes its stage slot alone and never
+/// contributes columns to a fused pass. *Group*: live members are
+/// partitioned by pinned model version — a fused pass never mixes
+/// weights — and a canary member is a group of one, because it runs
+/// cache-free and shadow-scores the incumbent on the same input. *Run*:
+/// one fused pass per group. *Scatter*: verdicts go back under each
+/// owner's lock. A panic inside a multi-member pass stored nothing, so
+/// its members are re-run one by one and only the culprit is lost.
+fn run_infer(phase: BatchPhase, members: &[(usize, Shared)], ctx: &BatchCtx, inf: &mut Inferencer) {
+    let cfg = &ctx.cfg;
+    let stage = match phase {
+        BatchPhase::P1 => StageKind::P1Infer,
+        BatchPhase::P2 => StageKind::P2Infer,
+    };
+    let mut live: Vec<Live<'_>> = Vec::with_capacity(members.len());
     for (t, state) in members {
-        let gathered = {
-            let mut st = state.0.lock();
-            if st.error.is_some()
-                || st.outcome.is_some()
-                || ctx.tokens[*t].is_cancelled()
-                || st.resilience.failed
-            {
-                None
-            } else if let Some(prep) = st.prep1.clone() {
-                let tid = st.tid;
-                let pin = pinned_model(ctx, &mut st);
-                // Canary tables take the per-table path: they must
-                // shadow-score the incumbent on the same input, which a
-                // fused pass cannot do.
-                if pin.canary {
-                    None
-                } else {
-                    Some((tid, prep, pin))
+        let gathered = guarded(stage, *t, &mut state.0.lock(), ctx, |st| {
+            inject_faults(stage, st.tid, cfg, &ctx.tokens[*t], &ctx.wake)?;
+            let missing = |what: &str| TasteError::Scheduler(format!("{stage:?} before {what}"));
+            if st.resilience.failed {
+                // P1 never produced verdicts; report the table with
+                // empty admitted sets so the batch stays complete.
+                if phase == BatchPhase::P2 {
+                    st.finals = Some(Vec::new());
                 }
+                return Ok(None);
+            }
+            let prep1 = Arc::clone(st.prep1.as_ref().ok_or_else(|| missing("P1Prep"))?);
+            let p2 = if phase == BatchPhase::P2 {
+                let infer1 = st.infer1.as_ref().ok_or_else(|| missing("P1Infer"))?;
+                if st.resilience.degraded && st.prep2.is_none() {
+                    // Graceful degradation: P1 metadata-only verdicts
+                    // stand for the uncertain columns (α = β semantics).
+                    st.finals = Some(shed_finals(infer1));
+                    return Ok(None);
+                }
+                let prep2 = Arc::clone(st.prep2.as_ref().ok_or_else(|| missing("P2Prep"))?);
+                Some((infer1.clone(), prep2))
             } else {
                 None
+            };
+            Ok(Some(Live { t: *t, state, tid: st.tid, prep1, p2, pin: pinned_model(ctx, st) }))
+        });
+        match gathered {
+            Some(m) => live.push(m),
+            None => advance_stage(*t, state, ctx),
+        }
+    }
+
+    let mut work: VecDeque<Vec<usize>> = VecDeque::new();
+    for (i, m) in live.iter().enumerate() {
+        let fused = work.iter_mut().find(|g| {
+            let head = &live[g[0]].pin;
+            !m.pin.canary && !head.canary && head.version == m.pin.version
+        });
+        match fused {
+            Some(group) => group.push(i),
+            None => work.push_back(vec![i]),
+        }
+    }
+    while let Some(group) = work.pop_front() {
+        let of = |i: &usize| &live[*i];
+        let pin = &live[group[0]].pin;
+        // Canary members skip the latent cache end to end, so no latent
+        // computed by one model version is ever read by another.
+        let cache = (!pin.canary).then_some(&*ctx.cache);
+        group.iter().map(of).for_each(|m| ctx.clocks.start(m.t));
+        let started = Instant::now();
+        let caught = catch_unwind(AssertUnwindSafe(|| -> Vec<StageOut> {
+            if phase == BatchPhase::P2 {
+                let items: Vec<P2Item<'_>> = group
+                    .iter()
+                    .map(of)
+                    .map(|m| {
+                        let (infer1, prep2) = m.p2.as_ref().expect("gathered for phase 2");
+                        P2Item { tid: m.tid, prep1: &m.prep1, infer1, prep2 }
+                    })
+                    .collect();
+                let finals = infer_phase2(&pin.model, cfg, &items, cache, inf);
+                return finals.into_iter().map(StageOut::Finals).collect();
+            }
+            let items: Vec<P1Item<'_>> =
+                group.iter().map(of).map(|m| P1Item { tid: m.tid, prep: &m.prep1 }).collect();
+            let mut timed_p1 = |model: &Adtd| {
+                let t0 = Instant::now();
+                let out = infer_phase1(model, cfg, &items, cache, inf);
+                (out, t0.elapsed().as_secs_f64() * 1e3)
+            };
+            let (mut out, candidate_ms) = timed_p1(&pin.model);
+            if !pin.canary {
+                return out.into_iter().map(|i1| StageOut::Infer1(i1, None)).collect();
+            }
+            // Canary serving: the candidate AND the incumbent run on the
+            // same input and feed the agreement / sentinel / latency
+            // gates.
+            let shadow = pin.shadow.as_ref().expect("canary pins carry their incumbent");
+            let (mut inc, incumbent_ms) = timed_p1(&shadow.model);
+            let (cand, inc) = (out.pop().expect("a group of one"), inc.pop().expect("a group of one"));
+            let ncols = cand.admitted.len();
+            let agree_cols = (0..ncols)
+                .filter(|&j| {
+                    let o = j as u16;
+                    cand.admitted[j] == inc.admitted[j]
+                        && cand.uncertain.contains(&o) == inc.uncertain.contains(&o)
+                })
+                .count() as u64;
+            if let Some(rc) = &ctx.rollout {
+                rc.observe_canary(CanaryObservation {
+                    agree_cols,
+                    total_cols: ncols as u64,
+                    nonfinite: cand.nonfinite,
+                    candidate_ms,
+                    incumbent_ms,
+                });
+            }
+            if cand.nonfinite {
+                // The candidate is numerically broken: this table falls
+                // back to the incumbent's shadow verdicts (and re-pins so
+                // its P2 runs the incumbent too), so the broken candidate
+                // harms no request.
+                let repin = Pinned {
+                    model: Arc::clone(&shadow.model),
+                    version: shadow.version,
+                    canary: false,
+                    shadow: None,
+                };
+                vec![StageOut::Infer1(inc, Some(repin))]
+            } else {
+                vec![StageOut::Infer1(cand, None)]
+            }
+        }));
+        let service = started.elapsed();
+        group.iter().map(of).for_each(|m| ctx.clocks.finish(m.t));
+        // Per-member service is the pass's share: the AIMD governor sees
+        // per-stage costs, not N copies of the fused pass.
+        let observe = |failed: bool| {
+            if let Some(ctrl) = &ctx.controller {
+                ctrl.observe_stage(service / group.len() as u32, failed, stage.is_p2(), Instant::now());
             }
         };
-        match gathered {
-            Some((tid, prep, pin)) => live.push(LiveP1 { t: *t, state, tid, prep, pin }),
-            None => run_stage(StageKind::P1Infer, *t, state, None, ctx, inf),
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    for m in &live {
-        ctx.clocks.start(m.t);
-    }
-    let started = Instant::now();
-    let groups = version_groups(&live, |m: &LiveP1<'_>| &m.pin);
-    let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<P1Infer>> {
-        for m in &live {
-            inject_faults(StageKind::P1Infer, m.tid, &ctx.cfg, &ctx.tokens[m.t], &ctx.wake)?;
-        }
-        let mut results: Vec<Option<P1Infer>> = live.iter().map(|_| None).collect();
-        for (model, idxs) in &groups {
-            let items: Vec<P1Item<'_>> = idxs
-                .iter()
-                .map(|&i| P1Item { tid: live[i].tid, prep: &live[i].prep })
-                .collect();
-            let out = infer_phase1(model, &ctx.cfg, &items, Some(&ctx.cache), inf);
-            for (&i, r) in idxs.iter().zip(out) {
-                results[i] = Some(r);
-            }
-        }
-        Ok(results.into_iter().map(|r| r.expect("every live member grouped")).collect())
-    }));
-    let service = started.elapsed();
-    for m in &live {
-        ctx.clocks.finish(m.t);
-    }
-    match caught {
-        Ok(Ok(results)) => {
-            {
-                let mut b = ctx.batching.lock();
-                b.p1.batched_tables += live.len() as u64;
-                b.p1.batched_columns += live.iter().map(|m| m.prep.ncols as u64).sum::<u64>();
-            }
-            // Per-member service is the batch's share: the AIMD governor
-            // sees per-stage costs, not N copies of the fused pass.
-            let share = service / live.len() as u32;
-            for (m, infer1) in live.iter().zip(results) {
+        match caught {
+            Ok(outs) => {
                 {
-                    let mut st = m.state.0.lock();
-                    st.infer1 = Some(infer1);
+                    let mut b = ctx.batching.lock();
+                    let served = if phase == BatchPhase::P1 { &mut b.p1 } else { &mut b.p2 };
+                    served.batched_tables += group.len() as u64;
+                    served.batched_columns += group
+                        .iter()
+                        .map(of)
+                        .map(|m| m.p2.as_ref().map_or(m.prep1.ncols, |(i1, _)| i1.uncertain.len()) as u64)
+                        .sum::<u64>();
                 }
-                if let Some(ctrl) = &ctx.controller {
-                    ctrl.observe_stage(share, false, false, Instant::now());
-                }
-                advance_stage(m.t, m.state, ctx);
-            }
-        }
-        _ => {
-            // A panic or cancellation inside the fused pass: nothing was
-            // stored, so re-run every live member on the per-table path.
-            // Only the culprit re-triggers its fault (and is isolated by
-            // run_stage's own catch/hazard handling); the others complete
-            // normally.
-            for m in &live {
-                run_stage(StageKind::P1Infer, m.t, m.state, None, ctx, inf);
-            }
-        }
-    }
-}
-
-fn run_batched_p2(members: &[(usize, Shared)], ctx: &BatchCtx, inf: &mut Inferencer) {
-    struct LiveP2<'a> {
-        t: usize,
-        state: &'a Shared,
-        tid: TableId,
-        prep1: Arc<P1Prep>,
-        infer1: P1Infer,
-        prep2: Arc<P2Prep>,
-        pin: Pinned,
-    }
-    let mut live: Vec<LiveP2<'_>> = Vec::new();
-    for (t, state) in members {
-        let gathered = {
-            let mut st = state.0.lock();
-            if st.error.is_some()
-                || st.outcome.is_some()
-                || ctx.tokens[*t].is_cancelled()
-                || st.resilience.failed
-            {
-                None
-            } else {
-                // Degraded tables without scanned content (and any table
-                // with missing upstream state) take the per-table path,
-                // which owns those fallbacks. So do canary tables: their
-                // latents were never cached, and the per-table path runs
-                // them cache-free on their pinned candidate.
-                match (&st.prep1, &st.infer1, &st.prep2) {
-                    (Some(p1), Some(i1), Some(p2)) => {
-                        let seed = (st.tid, Arc::clone(p1), i1.clone(), Arc::clone(p2));
-                        let pin = pinned_model(ctx, &mut st);
-                        if pin.canary {
-                            None
-                        } else {
-                            Some((seed, pin))
+                for (m, out) in group.iter().map(of).zip(outs) {
+                    {
+                        let mut st = m.state.0.lock();
+                        match out {
+                            StageOut::Infer1(infer1, repin) => {
+                                st.infer1 = Some(infer1);
+                                if repin.is_some() {
+                                    st.pinned = repin;
+                                }
+                            }
+                            StageOut::Finals(finals) => st.finals = Some(finals),
                         }
                     }
-                    _ => None,
+                    observe(false);
+                    advance_stage(m.t, m.state, ctx);
                 }
             }
-        };
-        match gathered {
-            Some(((tid, prep1, infer1, prep2), pin)) => {
-                live.push(LiveP2 { t: *t, state, tid, prep1, infer1, prep2, pin })
-            }
-            None => run_stage(StageKind::P2Infer, *t, state, None, ctx, inf),
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    for m in &live {
-        ctx.clocks.start(m.t);
-    }
-    let started = Instant::now();
-    let groups = version_groups(&live, |m: &LiveP2<'_>| &m.pin);
-    let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Vec<LabelSet>>> {
-        for m in &live {
-            inject_faults(StageKind::P2Infer, m.tid, &ctx.cfg, &ctx.tokens[m.t], &ctx.wake)?;
-        }
-        let mut results: Vec<Option<Vec<LabelSet>>> = live.iter().map(|_| None).collect();
-        for (model, idxs) in &groups {
-            let items: Vec<P2Item<'_>> = idxs
-                .iter()
-                .map(|&i| {
-                    let m = &live[i];
-                    P2Item { tid: m.tid, prep1: &m.prep1, infer1: &m.infer1, prep2: &m.prep2 }
-                })
-                .collect();
-            let out = infer_phase2(model, &ctx.cfg, &items, Some(&ctx.cache), inf);
-            for (&i, r) in idxs.iter().zip(out) {
-                results[i] = Some(r);
-            }
-        }
-        Ok(results.into_iter().map(|r| r.expect("every live member grouped")).collect())
-    }));
-    let service = started.elapsed();
-    for m in &live {
-        ctx.clocks.finish(m.t);
-    }
-    match caught {
-        Ok(Ok(results)) => {
-            {
-                let mut b = ctx.batching.lock();
-                b.p2.batched_tables += live.len() as u64;
-                b.p2.batched_columns +=
-                    live.iter().map(|m| m.infer1.uncertain.len() as u64).sum::<u64>();
-            }
-            let share = service / live.len() as u32;
-            for (m, finals) in live.iter().zip(results) {
-                {
-                    let mut st = m.state.0.lock();
-                    st.finals = Some(finals);
-                }
-                if let Some(ctrl) = &ctx.controller {
-                    ctrl.observe_stage(share, false, true, Instant::now());
-                }
+            Err(payload) if group.len() == 1 => {
+                let m = of(&group[0]);
+                record_hazard(&mut m.state.0.lock(), panicked(stage, payload.as_ref()), ctx);
+                observe(true);
                 advance_stage(m.t, m.state, ctx);
             }
-        }
-        _ => {
-            for m in &live {
-                run_stage(StageKind::P2Infer, m.t, m.state, None, ctx, inf);
-            }
+            Err(_) => work.extend(group.into_iter().map(|i| vec![i])),
         }
     }
-}
-
-fn first_eligible(queue: &[(usize, StageKind)], states: &[Shared], prep: bool) -> Option<usize> {
-    queue.iter().position(|&(t, s)| {
-        s.is_prep() == prep && states[t].1.load(Ordering::SeqCst) == s.index()
-    })
 }
 
 /// Maps a cancellation reason observed at `stage` to the table outcome
@@ -1256,82 +1105,86 @@ fn record_hazard(st: &mut TableState, outcome: TableOutcome, ctx: &BatchCtx) {
     st.outcome = Some(outcome);
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// The outcome of a table whose `stage` panicked with `payload`.
+fn panicked(stage: StageKind, payload: &(dyn std::any::Any + Send)) -> TableOutcome {
+    let payload = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
+    };
+    TableOutcome::Panicked { stage: format!("{stage:?}"), payload }
 }
 
-/// Executes one stage against the shared state (prep stages use the
-/// connection; inference stages ignore it) and advances the table's
-/// stage counter. Runs as a no-op once the table has errored, been
-/// cancelled, or hit a hazard, so the scheduler always drains the queue.
-/// A panicking stage is caught here: the worker survives and the table
-/// is reported as [`TableOutcome::Panicked`].
-fn run_stage(
+/// The crash-safety envelope every stage runs `body` in, under its
+/// table's lock. Skipped once the table has errored or hit a hazard, so
+/// the scheduler always drains the queue; a table found cancelled gets
+/// the hazard its reason implies. Otherwise `body` runs under the
+/// table's stage clock and `catch_unwind`: a panic is caught here — the
+/// worker survives and the table is reported as
+/// [`TableOutcome::Panicked`] — a cancellation observed mid-flight maps
+/// to its hazard, and any other error fails the batch.
+///
+/// `body` returns `Some(carried)` when the stage's work continues
+/// outside the lock: the caller then owes the AIMD observation and the
+/// stage-slot advance. `None` means the stage is over for this table.
+fn guarded<T>(
     stage: StageKind,
     t: usize,
-    state: &Shared,
-    conn: Option<&Connection>,
+    st: &mut TableState,
     ctx: &BatchCtx,
-    inf: &mut Inferencer,
-) {
-    let token = &ctx.tokens[t];
-    {
-        let mut st = state.0.lock();
-        if st.error.is_none() && st.outcome.is_none() {
-            if let Some(reason) = token.reason() {
-                record_hazard(&mut st, hazard_from_cancel(reason, stage), ctx);
-            } else {
-                let was_clean = !(st.resilience.failed || st.resilience.degraded);
-                ctx.clocks.start(t);
-                let started = Instant::now();
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    execute(stage, &mut st, conn, token, ctx, inf)
-                }));
-                let service = started.elapsed();
-                ctx.clocks.finish(t);
-                match caught {
-                    Ok(Ok(())) => {}
-                    Ok(Err(TasteError::Cancelled(_))) => {
-                        // The stage observed its token mid-flight; map
-                        // the reason to the table's outcome.
-                        let reason = token.reason().unwrap_or(CancelReason::StageTimeout);
-                        record_hazard(&mut st, hazard_from_cancel(reason, stage), ctx);
-                    }
-                    Ok(Err(e)) => {
-                        st.error = Some(e);
-                        ctx.batch_error.store(true, Ordering::SeqCst);
-                    }
-                    Err(payload) => record_hazard(
-                        &mut st,
-                        TableOutcome::Panicked {
-                            stage: format!("{stage:?}"),
-                            payload: panic_message(payload.as_ref()),
-                        },
-                        ctx,
-                    ),
-                }
-                // Feed the AIMD governor: a stage that newly burned its
-                // fault budget (or panicked / timed out) cuts the
-                // limits, a clean one grows them.
-                if let Some(ctrl) = &ctx.controller {
-                    let failed = st.error.is_some()
-                        || (was_clean && (st.resilience.failed || st.resilience.degraded))
-                        || matches!(
-                            st.outcome,
-                            Some(TableOutcome::Panicked { .. } | TableOutcome::TimedOut { .. })
-                        );
-                    let is_p2 = matches!(stage, StageKind::P2Prep | StageKind::P2Infer);
-                    ctrl.observe_stage(service, failed, is_p2, Instant::now());
-                }
-            }
-        }
+    body: impl FnOnce(&mut TableState) -> Result<Option<T>>,
+) -> Option<T> {
+    if st.error.is_some() || st.outcome.is_some() {
+        return None;
     }
+    let token = &ctx.tokens[t];
+    if let Some(reason) = token.reason() {
+        record_hazard(st, hazard_from_cancel(reason, stage), ctx);
+        return None;
+    }
+    let was_clean = !(st.resilience.failed || st.resilience.degraded);
+    ctx.clocks.start(t);
+    let started = Instant::now();
+    let caught = catch_unwind(AssertUnwindSafe(|| body(st)));
+    let service = started.elapsed();
+    ctx.clocks.finish(t);
+    let carried = match caught {
+        Ok(Ok(carried)) => carried,
+        Ok(Err(TasteError::Cancelled(_))) => {
+            // The stage observed its token mid-flight; map the reason to
+            // the table's outcome.
+            let reason = token.reason().unwrap_or(CancelReason::StageTimeout);
+            record_hazard(st, hazard_from_cancel(reason, stage), ctx);
+            None
+        }
+        Ok(Err(e)) => {
+            st.error = Some(e);
+            None
+        }
+        Err(payload) => {
+            record_hazard(st, panicked(stage, payload.as_ref()), ctx);
+            None
+        }
+    };
+    // Feed the AIMD governor: a stage that newly burned its fault budget
+    // (or panicked / timed out) cuts the limits, a clean one grows them.
+    if let (None, Some(ctrl)) = (&carried, &ctx.controller) {
+        let failed = st.error.is_some()
+            || (was_clean && (st.resilience.failed || st.resilience.degraded))
+            || matches!(st.outcome, Some(TableOutcome::Panicked { .. } | TableOutcome::TimedOut { .. }));
+        ctrl.observe_stage(service, failed, stage.is_p2(), Instant::now());
+    }
+    carried
+}
+
+/// Executes one prep stage against the shared state, on the worker's
+/// connection, and advances the table's stage counter.
+fn run_stage(stage: StageKind, t: usize, state: &Shared, conn: Option<&Connection>, ctx: &BatchCtx) {
+    // A prep stage completes under the lock: nothing is carried out of it.
+    let _: Option<()> =
+        guarded(stage, t, &mut state.0.lock(), ctx, |st| execute(stage, st, conn, &ctx.tokens[t], ctx).map(|()| None));
     advance_stage(t, state, ctx);
 }
 
@@ -1345,8 +1198,18 @@ fn finalize_table(t: usize, state: &Shared, ctx: &BatchCtx) {
         dls.clear(t);
     }
     let mut st = state.0.lock();
+    let admission = st.admission;
+    let release_slot = |ok: bool| {
+        if let (Some(ctrl), Some(adm)) = (&ctx.controller, admission) {
+            ctrl.complete(adm.probe, ok, Instant::now());
+        }
+    };
     if st.error.is_some() {
-        return; // the batch is failing; nothing to journal
+        // The batch is failing: nothing to journal, but the slot goes
+        // back, so tables still waiting for admission run and the
+        // scheduler drains instead of hanging on a slot that never frees.
+        release_slot(false);
+        return;
     }
     let outcome = match st.outcome.clone() {
         Some(o) => o,
@@ -1372,12 +1235,9 @@ fn finalize_table(t: usize, state: &Shared, ctx: &BatchCtx) {
         });
     }
     st.latency = st.admitted_at.unwrap_or(ctx.batch_start).elapsed();
-    if let (Some(ctrl), Some(adm)) = (&ctx.controller, st.admission) {
-        // Only a cleanly completed table counts as a successful
-        // brownout probe: P2 ran end-to-end without shedding.
-        let ok = matches!(outcome, TableOutcome::Completed);
-        ctrl.complete(adm.probe, ok, Instant::now());
-    }
+    // Only a cleanly completed table counts as a successful brownout
+    // probe: P2 ran end-to-end without shedding.
+    release_slot(matches!(outcome, TableOutcome::Completed));
     if !outcome.is_final() {
         return;
     }
@@ -1393,7 +1253,6 @@ fn finalize_table(t: usize, state: &Shared, ctx: &BatchCtx) {
         };
         if let Err(e) = journal.lock().append(&record) {
             st.error = Some(e);
-            ctx.batch_error.store(true, Ordering::SeqCst);
             return;
         }
     }
@@ -1465,167 +1324,73 @@ fn pinned_model(ctx: &BatchCtx, st: &mut TableState) -> Pinned {
     st.pinned.clone().expect("pinned just above")
 }
 
+/// The body of the two prep stages (the inference stages are
+/// [`run_infer`]'s).
 fn execute(
     stage: StageKind,
     st: &mut TableState,
     conn: Option<&Connection>,
     token: &CancelToken,
     ctx: &BatchCtx,
-    inf: &mut Inferencer,
 ) -> Result<()> {
-    let cache = &*ctx.cache;
     let cfg = &ctx.cfg;
     let breaker = &ctx.breaker;
     inject_faults(stage, st.tid, cfg, token, &ctx.wake)?;
-    match stage {
-        StageKind::P1Prep => {
-            let Some(conn) = conn else {
-                // The worker never got a connection. Without P1
-                // metadata there is nothing to fall back to: mark the
-                // table failed (degrade mode) or fail the batch.
-                if cfg.retry.degrade {
-                    st.resilience.failed = true;
-                    return Ok(());
-                }
-                return Err(TasteError::Scheduler("prep without connection".into()));
-            };
-            let tid = st.tid;
-            let (res, stats) =
-                run_with_retry(&cfg.retry, breaker, conn, "prep_phase1", |c| prep_phase1(c, tid, cfg));
-            st.resilience.absorb(&stats);
-            match res {
-                Ok(p) => st.prep1 = Some(Arc::new(p)),
-                Err(f) if f.retryable && cfg.retry.degrade => st.resilience.failed = true,
-                Err(f) => return Err(f.error),
-            }
-        }
-        StageKind::P1Infer => {
-            if st.resilience.failed {
+    if stage == StageKind::P1Prep {
+        let Some(conn) = conn else {
+            // The worker never got a connection. Without P1
+            // metadata there is nothing to fall back to: mark the
+            // table failed (degrade mode) or fail the batch.
+            if cfg.retry.degrade {
+                st.resilience.failed = true;
                 return Ok(());
             }
-            let prep = Arc::clone(
-                st.prep1.as_ref().ok_or_else(|| TasteError::Scheduler("P1Infer before P1Prep".into()))?,
-            );
-            let pin = pinned_model(ctx, st);
-            // The per-table path is a slice of one.
-            let item = [P1Item { tid: st.tid, prep: &prep }];
-            let mut run_p1 = |model: &Adtd, cache: Option<&LatentCache>| {
-                infer_phase1(model, cfg, &item, cache, inf).pop().expect("one result per item")
-            };
-            if pin.canary {
-                // Canary serving: run the candidate AND the incumbent on
-                // the same input — both without touching the latent
-                // cache, so no cross-version latent can ever be reused —
-                // and feed the agreement / sentinel / latency gates.
-                let shadow = pin.shadow.clone().expect("canary pins carry their incumbent");
-                let c0 = Instant::now();
-                let cand = run_p1(&pin.model, None);
-                let candidate_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let i0 = Instant::now();
-                let inc = run_p1(&shadow.model, None);
-                let incumbent_ms = i0.elapsed().as_secs_f64() * 1e3;
-                let ncols = cand.admitted.len();
-                let agree_cols = (0..ncols)
-                    .filter(|&j| {
-                        let o = j as u16;
-                        cand.admitted[j] == inc.admitted[j]
-                            && cand.uncertain.contains(&o) == inc.uncertain.contains(&o)
-                    })
-                    .count() as u64;
-                let obs = CanaryObservation {
-                    agree_cols,
-                    total_cols: ncols as u64,
-                    nonfinite: cand.nonfinite,
-                    candidate_ms,
-                    incumbent_ms,
-                };
-                if cand.nonfinite {
-                    // The candidate is numerically broken: this table
-                    // falls back to the incumbent's shadow verdicts (and
-                    // re-pins so its P2 runs the incumbent too), so the
-                    // broken candidate harms no request.
-                    st.pinned = Some(Pinned {
-                        model: Arc::clone(&shadow.model),
-                        version: shadow.version,
-                        canary: false,
-                        shadow: None,
-                    });
-                    st.infer1 = Some(inc);
-                } else {
-                    st.infer1 = Some(cand);
-                }
-                if let Some(rc) = &ctx.rollout {
-                    rc.observe_canary(obs);
-                }
-            } else {
-                st.infer1 = Some(run_p1(&pin.model, Some(cache)));
-            }
+            return Err(TasteError::Scheduler("prep without connection".into()));
+        };
+        let tid = st.tid;
+        let (res, stats) =
+            run_with_retry(&cfg.retry, breaker, conn, "prep_phase1", |c| prep_phase1(c, tid, cfg));
+        st.resilience.absorb(&stats);
+        match res {
+            Ok(p) => st.prep1 = Some(Arc::new(p)),
+            Err(f) if f.retryable && cfg.retry.degrade => st.resilience.failed = true,
+            Err(f) => return Err(f.error),
         }
-        StageKind::P2Prep => {
-            if st.resilience.failed {
-                return Ok(());
-            }
-            let tid = st.tid;
-            let uncertain = st
-                .infer1
-                .as_ref()
-                .ok_or_else(|| TasteError::Scheduler("P2Prep before P1Infer".into()))?
-                .uncertain
-                .clone();
-            let prep1 = st.prep1.as_ref().ok_or_else(|| TasteError::Scheduler("P2Prep before P1Prep".into()))?;
-            let Some(conn) = conn else {
-                // Lost connection: P1 verdicts survive, so degrade.
-                if cfg.retry.degrade {
-                    st.resilience.degraded = true;
-                    st.resilience.degraded_columns += uncertain.len();
-                    return Ok(());
-                }
-                return Err(TasteError::Scheduler("prep without connection".into()));
-            };
-            let (res, stats) =
-                run_with_retry(&cfg.retry, breaker, conn, "prep_phase2", |c| {
-                    prep_phase2(c, tid, prep1, &uncertain, cfg, token)
-                });
-            st.resilience.absorb(&stats);
-            match res {
-                Ok(p) => st.prep2 = Some(Arc::new(p)),
-                Err(f) if matches!(f.error, TasteError::Cancelled(_)) => return Err(f.error),
-                Err(f) if f.retryable && cfg.retry.degrade => {
-                    st.resilience.degraded = true;
-                    st.resilience.degraded_columns += uncertain.len();
-                }
-                Err(f) => return Err(f.error),
-            }
+        return Ok(());
+    }
+    debug_assert_eq!(stage, StageKind::P2Prep, "inference stages run in run_infer");
+    if st.resilience.failed {
+        return Ok(());
+    }
+    let tid = st.tid;
+    let uncertain = st
+        .infer1
+        .as_ref()
+        .ok_or_else(|| TasteError::Scheduler("P2Prep before P1Infer".into()))?
+        .uncertain
+        .clone();
+    let prep1 = st.prep1.as_ref().ok_or_else(|| TasteError::Scheduler("P2Prep before P1Prep".into()))?;
+    let Some(conn) = conn else {
+        // Lost connection: P1 verdicts survive, so degrade.
+        if cfg.retry.degrade {
+            st.resilience.degraded = true;
+            st.resilience.degraded_columns += uncertain.len();
+            return Ok(());
         }
-        StageKind::P2Infer => {
-            if st.resilience.failed {
-                // P1 never produced verdicts; report the table with
-                // empty admitted sets so the batch stays complete.
-                st.finals = Some(Vec::new());
-                return Ok(());
-            }
-            let infer1 = st.infer1.as_ref().ok_or_else(|| TasteError::Scheduler("P2Infer before P1Infer".into()))?;
-            if st.resilience.degraded && st.prep2.is_none() {
-                // Graceful degradation: P1 metadata-only verdicts
-                // stand for the uncertain columns (α = β semantics).
-                st.finals = Some(infer1.admitted.clone());
-                return Ok(());
-            }
-            let prep1 = Arc::clone(
-                st.prep1.as_ref().ok_or_else(|| TasteError::Scheduler("P2Infer before P1Prep".into()))?,
-            );
-            let prep2 = Arc::clone(
-                st.prep2.as_ref().ok_or_else(|| TasteError::Scheduler("P2Infer before P2Prep".into()))?,
-            );
-            let infer1 = infer1.clone();
-            let pin = pinned_model(ctx, st);
-            // Canary tables skip the latent cache end-to-end: their P1
-            // wrote no latents, and reading here could only surface an
-            // entry computed by a different model version.
-            let cache_opt = if pin.canary { None } else { Some(cache) };
-            let item = [P2Item { tid: st.tid, prep1: &prep1, infer1: &infer1, prep2: &prep2 }];
-            st.finals = infer_phase2(&pin.model, cfg, &item, cache_opt, inf).pop();
+        return Err(TasteError::Scheduler("prep without connection".into()));
+    };
+    let (res, stats) = run_with_retry(&cfg.retry, breaker, conn, "prep_phase2", |c| {
+        prep_phase2(c, tid, prep1, &uncertain, cfg, token)
+    });
+    st.resilience.absorb(&stats);
+    match res {
+        Ok(p) => st.prep2 = Some(Arc::new(p)),
+        Err(f) if matches!(f.error, TasteError::Cancelled(_)) => return Err(f.error),
+        Err(f) if f.retryable && cfg.retry.degrade => {
+            st.resilience.degraded = true;
+            st.resilience.degraded_columns += uncertain.len();
         }
+        Err(f) => return Err(f.error),
     }
     Ok(())
 }
@@ -1781,18 +1546,41 @@ mod tests {
 
     #[test]
     fn pipelined_error_propagates_without_deadlock() {
-        // A bad table id mid-batch must fail the batch, not hang the
-        // scheduler: later stages of the failed table become no-ops and
-        // every other table still runs to completion first.
-        let (db, ids) = fixture_db(3, LatencyProfile::zero());
-        let cfg = TasteConfig { pipelining: true, pool_size: 2, ..Default::default() };
+        // A bad table id mid-batch must fail the batch with *its* error,
+        // not hang the scheduler and not be masked by what it left
+        // unfinished: later stages of the failed table become no-ops and
+        // every other table still runs to completion first — with and
+        // without an admission gate, with and without a planner.
+        use crate::config::BatchingConfig;
+        use crate::overload::OverloadConfig;
+        let latency = LatencyProfile { query_rtt: Duration::from_millis(3), ..LatencyProfile::zero() };
+        let (db, ids) = fixture_db(8, latency);
         let mut with_bad = ids.clone();
-        with_bad.insert(1, TableId(42));
-        let err = engine(cfg).detect_batch(&db, &with_bad);
-        assert!(matches!(err, Err(taste_core::TasteError::NotFound(_))), "{err:?}");
-        // The same engine config still works on a clean batch.
-        let ok = engine(cfg).detect_batch(&db, &ids);
-        assert!(ok.is_ok());
+        with_bad.insert(1, TableId(4242));
+        for overload in [false, true] {
+            for batching in [false, true] {
+                let cfg = TasteConfig {
+                    pipelining: true,
+                    pool_size: 2,
+                    // No queue pressure: a loaded test host must not shed.
+                    overload: OverloadConfig {
+                        enabled: overload,
+                        queue_target: Duration::from_secs(10),
+                        ..Default::default()
+                    },
+                    batching: BatchingConfig { enabled: batching, ..Default::default() },
+                    ..Default::default()
+                };
+                let err = engine(cfg).detect_batch(&db, &with_bad);
+                assert!(
+                    matches!(err, Err(taste_core::TasteError::NotFound(_))),
+                    "overload={overload} batching={batching}: {err:?}"
+                );
+                // The same engine config still works on a clean batch.
+                let ok = engine(cfg).detect_batch(&db, &ids).unwrap();
+                assert!(ok.tables.iter().all(|t| t.outcome == TableOutcome::Completed));
+            }
+        }
     }
 
     #[test]
@@ -1964,6 +1752,70 @@ mod tests {
         // the victim, so strictly fewer columns reach the fused P2 pass.
         assert_eq!(report.batching.p1.batched_columns, report.total_columns);
         assert!(report.batching.p2.batched_columns < report.batching.p1.batched_columns);
+    }
+
+    #[test]
+    fn a_panic_inside_a_fused_pass_costs_only_the_culprit() {
+        // The injected-fault hook fires in the gather step, so it never
+        // reaches the pass itself. A model-side panic does: one member's
+        // prep output is malformed, the fused pass over all three members
+        // panics, and the one-by-one re-run must isolate exactly that
+        // member while the others get the verdicts a clean run gives.
+        let (db, ids) = fixture_db(3, LatencyProfile::zero());
+        let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, ..Default::default() };
+        let eng = engine(cfg);
+        let clean = eng.detect_batch(&db, &ids).unwrap();
+        let ctx = BatchCtx {
+            model: Arc::clone(&eng.model),
+            cache: Arc::clone(&eng.cache),
+            cfg,
+            breaker: CircuitBreaker::new(cfg.retry.breaker_threshold, cfg.retry.breaker_cooldown),
+            db: Arc::clone(&db),
+            tokens: ids.iter().map(|_| CancelToken::new()).collect(),
+            clocks: Arc::new(StageClocks::new(ids.len())),
+            journal: None,
+            finished_final: AtomicUsize::new(0),
+            controller: None,
+            deadlines: None,
+            batch_start: Instant::now(),
+            wake: Arc::new(Wakeup::new()),
+            batching: Mutex::new(BatchingSummary::default()),
+            rollout: None,
+        };
+        let states = eng.new_states(&ids);
+        let conn = db.connect();
+        for (t, state) in states.iter().enumerate() {
+            run_stage(StageKind::P1Prep, t, state, Some(&conn), &ctx);
+        }
+        {
+            let mut st = states[1].0.lock();
+            let good = st.prep1.take().unwrap();
+            let mut chunks = good.chunks.clone();
+            chunks[0].nonmeta.pop();
+            st.prep1 = Some(Arc::new(P1Prep { chunks, ncols: good.ncols }));
+        }
+        let members: Vec<(usize, Shared)> = states.iter().cloned().enumerate().collect();
+        run_infer(BatchPhase::P1, &members, &ctx, &mut cfg.execution.inferencer());
+
+        for (t, state) in states.iter().enumerate() {
+            assert_eq!(state.1.load(Ordering::SeqCst), 2, "table {t} finished its P1Infer slot");
+            let st = state.0.lock();
+            assert!(st.error.is_none());
+            if t == 1 {
+                assert!(
+                    matches!(&st.outcome, Some(TableOutcome::Panicked { stage, .. }) if stage == "P1Infer"),
+                    "{:?}",
+                    st.outcome
+                );
+                assert!(st.infer1.is_none());
+            } else {
+                assert_eq!(st.outcome, None);
+                let i1 = st.infer1.as_ref().expect("a survivor keeps its P1 verdicts");
+                assert_eq!(i1.uncertain.len(), clean.tables[t].uncertain_columns);
+            }
+        }
+        assert_eq!(ctx.batching.lock().p1.batched_tables, 2, "only the survivors' re-runs count");
+        assert_eq!(db.ledger().snapshot().panicked_stages, 1);
     }
 
     #[test]

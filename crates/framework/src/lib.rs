@@ -40,8 +40,8 @@
 //! * [`batcher`] — cross-table micro-batching: a
 //!   [`batcher::BatchPlanner`] with per-phase queues and size-, deadline-
 //!   and drain-triggered flushes, so one TP2 job serves a fused forward
-//!   pass over columns from many tables (bit-identical to the per-table
-//!   path).
+//!   pass over columns from many tables (bit-identical to serving each
+//!   table as a batch of one).
 //! * [`rollout`] — health-gated hot model reload: a
 //!   [`rollout::RolloutController`] that swaps model versions under live
 //!   traffic with epoch-style pinning (in-flight tables finish on their

@@ -59,14 +59,16 @@ const WAIT_HIST_BUCKETS: usize = 12;
 
 /// Overload-control policy knobs.
 ///
-/// Disabled by default (`enabled: false`): the engine then behaves
-/// exactly as before this subsystem existed. All duration knobs are
-/// deliberately small — they gate *scheduler* decisions, not database
-/// I/O, and the simulated latency profiles operate at millisecond scale.
+/// Disabled by default (`enabled: false`): the scheduler loop then runs
+/// without a [`LoadController`] — every table is admitted at once, both
+/// pools may run `pool_size` stages, and nothing is shed. All duration
+/// knobs are deliberately small — they gate *scheduler* decisions, not
+/// database I/O, and the simulated latency profiles operate at
+/// millisecond scale.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OverloadConfig {
-    /// Master switch; `false` keeps the engine's legacy unbounded
-    /// admission behavior.
+    /// Whether the scheduler loop consults a [`LoadController`];
+    /// `false` means unbounded admission and fixed pool limits.
     pub enabled: bool,
     /// Tables allowed in the pipeline simultaneously.
     pub max_in_flight: usize,

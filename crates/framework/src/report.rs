@@ -111,9 +111,10 @@ pub struct OverloadSummary {
 pub struct PhaseBatchingSummary {
     /// Micro-batches flushed for this phase.
     pub batches: u64,
-    /// Table-stages that executed inside a batch (live members only;
-    /// shed/cancelled members are routed to the per-table path and do
-    /// not count).
+    /// Table-stages served by a forward pass of a planner-formed batch.
+    /// Live members only: a shed, cancelled, failed or stalled member
+    /// settles before the pass and does not count; a canary member, a
+    /// batch of one, does.
     pub batched_tables: u64,
     /// Columns that executed inside a batch (total columns for P1,
     /// uncertain columns for P2).

@@ -116,9 +116,10 @@ pub fn prep_phase2(
 
 // ---- inference stages ---------------------------------------------------
 //
-// Both inference stages take a slice of tables: the per-table engine path
-// passes a slice of one, a micro-batch passes many. Results come back in
-// input order and do not depend on how tables are grouped into calls —
+// Both inference stages take a slice of tables: the engine's one executor
+// passes a slice of one for a table served alone, many for a group of a
+// micro-batch. Results come back in input order and do not depend on how
+// tables are grouped into calls —
 // row-wise ops are unchanged under row-stacking and attention is
 // block-diagonal per sequence — so "one call with N items" equals "N
 // calls with one item", cache traffic included. Which model body a call

@@ -5,8 +5,8 @@
 //! tiny matrices that leave kernels dispatch-bound. With batching
 //! enabled, the engine's `BatchPlanner` holds eligible inference stages
 //! in per-phase queues and flushes a micro-batch of columns drawn from
-//! *many* tables into one fused forward pass — bit-identically to the
-//! per-table path.
+//! *many* tables into one fused forward pass — bit-identically to
+//! serving each table as a batch of one.
 //!
 //! This example runs the same narrow-table tenant at batch sizes 1 and
 //! 16 and prints columns/sec plus the planner's fill and flush-reason
