@@ -64,6 +64,25 @@ fn bench_kernel_variants(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_micro_kernel(c: &mut Criterion) {
+    // The register-blocked micro-kernel at the paper encoder's
+    // feed-forward shape, and the attention kernel it also drives at the
+    // paper's cross-attention shape (230 content rows over 320 keys).
+    let mut group = c.benchmark_group("micro_kernel");
+    let (x, w) = (Matrix::full(64, 312, 0.5), PackedB::pack(&Matrix::full(312, 1200, 0.25)));
+    let mut out = Matrix::zeros(64, 1200);
+    group.bench_function("packed_64x312x1200", |bench| {
+        bench.iter(|| kernels::matmul_packed_into(black_box(&x), black_box(&w), None, Act::Ident, 1, &mut out))
+    });
+    let (q, kv) = (Matrix::full(230, 312, 0.5), Matrix::full(320, 312, 0.25));
+    let mut ctx = Matrix::zeros(230, 312);
+    let scale = 1.0 / 26.0f32.sqrt();
+    group.bench_function("attn_blocks_q230_kv320_h12", |bench| {
+        bench.iter(|| kernels::attn_blocks_into(black_box(&q), black_box(&kv), &kv, &[230], &[320], 12, scale, 1, &mut ctx))
+    });
+    group.finish();
+}
+
 fn bench_rowwise(c: &mut Criterion) {
     let mut group = c.benchmark_group("rowwise");
     let x = Matrix::full(256, 256, 0.1);
@@ -87,6 +106,6 @@ fn bench_tokenizer(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_kernel_variants, bench_rowwise, bench_tokenizer
+    targets = bench_matmul, bench_kernel_variants, bench_micro_kernel, bench_rowwise, bench_tokenizer
 }
 criterion_main!(benches);

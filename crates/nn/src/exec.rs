@@ -21,11 +21,12 @@
 //!   sessions, so a warmed executor performs no allocation at all on
 //!   steady-state prediction calls.
 //!
-//! Both backends run the *same* numeric kernels (the lane-vectorized
-//! matmuls and shared row kernels in [`crate::kernels`], shared
-//! activation scalars), so their forward values are bit-identical — the
-//! parity tests assert a 1e-5 tolerance but in practice observe exact
-//! equality.
+//! Both backends draw on [`crate::kernels`], whose every matmul variant
+//! (plain lanes on the tape; packed, register-tiled and run-time
+//! dispatched when serving) performs the same per-element operation
+//! sequence, and they share the row kernels and activation scalars
+//! outright, so their forward values are bit-identical — the parity
+//! tests assert a 1e-5 tolerance but in practice observe exact equality.
 //!
 //! On top of the shared op set, [`Forward`] exposes *fused* composites
 //! (`linear`, `linear_act`, `softmax_rows_scaled`, `layer_norm_affine`,
@@ -36,8 +37,9 @@
 //! static weight matrices into SIMD-friendly column panels once and
 //! caches them per [`ParamId`] (validated against the store's
 //! `(uid, version)`, so online weight updates repack automatically), and
-//! can run its matmuls row-parallel on [`crate::pool::KernelPool`] when
-//! `kernel_threads > 1` — with results provably independent of the thread
+//! can run its matmuls row-parallel — and attention parallel over
+//! (sequence, head) — on [`crate::pool::KernelPool`] when
+//! `kernel_threads > 1`, with results provably independent of the thread
 //! count.
 
 use crate::kernels::{self, Act, PackedB};
@@ -241,16 +243,7 @@ pub trait Forward {
     /// Panics when `parts` is empty or a range is out of bounds.
     fn vcat_rows(&mut self, parts: &[(NodeId, usize, usize)]) -> NodeId {
         assert!(!parts.is_empty(), "cannot vcat zero ranges");
-        let sliced: Vec<NodeId> = parts
-            .iter()
-            .map(|&(p, start, len)| {
-                if start == 0 && len == self.value(p).rows() {
-                    p
-                } else {
-                    self.slice_rows(p, start, len)
-                }
-            })
-            .collect();
+        let sliced: Vec<NodeId> = parts.iter().map(|&(p, start, len)| rows_or_whole(self, p, start, len)).collect();
         self.vcat_all(&sliced)
     }
 
@@ -261,12 +254,13 @@ pub trait Forward {
     /// head-merged context `[Σ q_lens, dim]` (pre-output-projection).
     ///
     /// The default composes the primitive ops — per head, column slices
-    /// of the stacks, per-sequence row slices, `matmul_bt`,
-    /// `softmax_rows_scaled`, `matmul`, then `vcat_all`/`hcat` assembly —
-    /// so the tape records the exact differentiable sequence. The serving
-    /// backend overrides it with [`crate::kernels::attn_blocks_into`],
-    /// which reads the stacks in place and writes the merged context
-    /// directly: bit-identical, with zero intermediate copies.
+    /// of the stacks, per-sequence row slices (none when one sequence is
+    /// the whole stack), `matmul_bt`, `softmax_rows_scaled`, `matmul`,
+    /// then `vcat_all`/`hcat` assembly — so the tape records the exact
+    /// differentiable sequence. The serving backend overrides it with
+    /// [`crate::kernels::attn_blocks_into`], which reads the stacks in
+    /// place and writes the merged context directly: bit-identical, with
+    /// no slicing or concatenation.
     ///
     /// # Panics
     /// Panics when the batch is empty, the length vectors disagree, or
@@ -296,9 +290,9 @@ pub trait Forward {
             blocks.clear();
             let (mut qo, mut ko) = (0, 0);
             for (&ql, &kl) in q_lens.iter().zip(kv_lens) {
-                let qb = self.slice_rows(qh, qo, ql);
-                let kb = self.slice_rows(kh, ko, kl);
-                let vb = self.slice_rows(vh, ko, kl);
+                let qb = rows_or_whole(self, qh, qo, ql);
+                let kb = rows_or_whole(self, kh, ko, kl);
+                let vb = rows_or_whole(self, vh, ko, kl);
                 let scores = self.matmul_bt(qb, kb);
                 let attn = self.softmax_rows_scaled(scores, scale);
                 blocks.push(self.matmul(attn, vb));
@@ -328,6 +322,17 @@ pub trait Forward {
         let b = self.param(store, bias);
         let scaled = self.mul_row(normed, g);
         self.add_row(scaled, b)
+    }
+}
+
+/// Rows `[start, start+len)` of `x` — `x` itself, with no copy recorded,
+/// when the range is the whole node. The composed defaults use this so a
+/// one-sequence batch costs the tape nothing over the unbatched ops.
+fn rows_or_whole<E: Forward + ?Sized>(ex: &mut E, x: NodeId, start: usize, len: usize) -> NodeId {
+    if start == 0 && len == ex.value(x).rows() {
+        x
+    } else {
+        ex.slice_rows(x, start, len)
     }
 }
 

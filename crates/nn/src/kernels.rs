@@ -20,19 +20,31 @@
 //! ranges on the persistent [`KernelPool`]; a row is always computed
 //! entirely by one thread, so thread count cannot affect values.
 //!
-//! # Why lanes beat the old kernel
+//! # The serving micro-kernel
 //!
-//! The previous k-blocked loop carried a per-element `a == 0.0` branch
-//! (a leftover sparse-input optimization) that defeated autovectorization
-//! on the dense panels every encoder matmul feeds it. The lane kernels
-//! are branch-free with fixed-width `[f32; 8]` accumulators, which LLVM
-//! lowers to SIMD adds/multiplies on any x86-64 / aarch64 baseline, and
-//! the transpose-free [`matmul_bt_into`] runs 8 independent dot-product
-//! chains per output row where the old code ran one latency-bound chain.
+//! The packed linears and both attention products run through one
+//! register-blocked driver ([`gemm`]): an `MR`-row × `NP`-panel tile
+//! whose accumulators stay in registers across the whole `k` loop. The
+//! tile has two bodies behind one run-time check ([`Isa::detect`]): an
+//! explicit `std::arch` AVX2 body and the portable `[f32; 8]` lane body,
+//! which is the fallback on every other target and the oracle the AVX2
+//! body is tested against. The AVX2 body multiplies, then adds
+//! (`_mm256_mul_ps`, `_mm256_add_ps`) and **never fuses**: an FMA rounds
+//! once where `acc += a * b` rounds twice, so it would change bytes.
+//!
+//! # The plain lane kernels
+//!
+//! [`matmul_into_mt`] / [`matmul_bt_into_mt`] / [`matmul_at_into`] serve
+//! the tape (forward and backward) and unpacked right-hand sides. They
+//! are branch-free loops over fixed-width `[f32; 8]` accumulators that
+//! lower to SIMD adds/multiplies on any x86-64 / aarch64 baseline; the
+//! transpose-free [`matmul_bt_into_mt`] runs 8 independent dot-product
+//! chains per output row.
 
 use crate::matrix::Matrix;
 use crate::pool::KernelPool;
 use crate::tape::{gelu_f, sigmoid_f};
+use std::cell::RefCell;
 
 /// Output-lane width of the vectorized kernels. Accumulators are
 /// `[f32; LANES]` blocks that LLVM keeps in vector registers.
@@ -98,6 +110,15 @@ impl RowsOut {
     #[allow(clippy::mut_from_ref)]
     unsafe fn row(&self, r: usize) -> &mut [f32] {
         std::slice::from_raw_parts_mut(self.ptr.add(r * self.cols), self.cols)
+    }
+
+    /// Pointer to element `(r, c)`, for a writer that owns a column
+    /// segment of some rows rather than whole rows.
+    ///
+    /// # Safety
+    /// `(r, c)` must be in range.
+    unsafe fn at(&self, r: usize, c: usize) -> *mut f32 {
+        self.ptr.add(r * self.cols + c)
     }
 }
 
@@ -333,17 +354,8 @@ impl PackedB {
     /// Packs `b` into column panels.
     pub fn pack(b: &Matrix) -> PackedB {
         let (k, n) = b.shape();
-        let panels = n.div_ceil(LANES);
-        let mut data = vec![0.0f32; panels * k * LANES];
-        let bd = b.as_slice();
-        for p in 0..panels {
-            let j0 = p * LANES;
-            let w = LANES.min(n - j0);
-            let panel = &mut data[p * k * LANES..(p + 1) * k * LANES];
-            for (kk, brow) in bd.chunks_exact(n.max(1)).enumerate().take(k) {
-                panel[kk * LANES..kk * LANES + w].copy_from_slice(&brow[j0..j0 + w]);
-            }
-        }
+        let mut data = vec![0.0f32; n.div_ceil(LANES) * k * LANES];
+        pack_panels(b.as_slice(), n, k, n, &mut data);
         PackedB { k, n, data }
     }
 
@@ -356,112 +368,276 @@ impl PackedB {
     pub fn packed_len(&self) -> usize {
         self.data.len()
     }
-
-    #[inline]
-    fn panel(&self, p: usize) -> &[f32] {
-        &self.data[p * self.k * LANES..(p + 1) * self.k * LANES]
-    }
 }
 
-/// One output row against packed panels, with optional fused bias and
-/// activation: `out_row = act(a_row @ B + bias)`. The accumulation is the
-/// exact lane kernel of [`matmul_into_mt`]; bias is added to each
-/// finished accumulator and the activation applied afterwards — the same
-/// value sequence as the composed `matmul → add_row → act` ops.
-fn packed_row(a_row: &[f32], pb: &PackedB, bias: Option<&[f32]>, act: Act, dst: &mut [f32]) {
-    let n = pb.n;
-    let mut p = 0;
-    let mut j0 = 0;
-    // Panel quads, then pairs: up to four independent accumulator
-    // arrays fed in one pass over `a_row`, multiplying the
-    // instruction-level parallelism of a single 8-wide FMA dependency
-    // chain. Each output column still owns one accumulator summing in
-    // ascending-`k` order, so grouping changes nothing bitwise.
-    while j0 + 4 * LANES <= n {
-        let (p0, p1) = (pb.panel(p), pb.panel(p + 1));
-        let (p2, p3) = (pb.panel(p + 2), pb.panel(p + 3));
-        let mut acc0 = [0.0f32; LANES];
-        let mut acc1 = [0.0f32; LANES];
-        let mut acc2 = [0.0f32; LANES];
-        let mut acc3 = [0.0f32; LANES];
-        for ((((&av, b0), b1), b2), b3) in a_row
-            .iter()
-            .zip(p0.chunks_exact(LANES))
-            .zip(p1.chunks_exact(LANES))
-            .zip(p2.chunks_exact(LANES))
-            .zip(p3.chunks_exact(LANES))
-        {
-            for (o, &bv) in acc0.iter_mut().zip(b0) {
-                *o += av * bv;
-            }
-            for (o, &bv) in acc1.iter_mut().zip(b1) {
-                *o += av * bv;
-            }
-            for (o, &bv) in acc2.iter_mut().zip(b2) {
-                *o += av * bv;
-            }
-            for (o, &bv) in acc3.iter_mut().zip(b3) {
-                *o += av * bv;
-            }
-        }
-        for (t, acc) in [acc0, acc1, acc2, acc3].iter().enumerate() {
-            let c0 = j0 + t * LANES;
-            finish_lane(acc, bias, act, c0, &mut dst[c0..c0 + LANES]);
-        }
-        j0 += 4 * LANES;
-        p += 4;
-    }
-    while j0 + 2 * LANES <= n {
-        let (p0, p1) = (pb.panel(p), pb.panel(p + 1));
-        let mut acc0 = [0.0f32; LANES];
-        let mut acc1 = [0.0f32; LANES];
-        for ((&av, b0), b1) in a_row
-            .iter()
-            .zip(p0.chunks_exact(LANES))
-            .zip(p1.chunks_exact(LANES))
-        {
-            for (o, &bv) in acc0.iter_mut().zip(b0) {
-                *o += av * bv;
-            }
-            for (o, &bv) in acc1.iter_mut().zip(b1) {
-                *o += av * bv;
-            }
-        }
-        finish_lane(&acc0, bias, act, j0, &mut dst[j0..j0 + LANES]);
-        finish_lane(&acc1, bias, act, j0 + LANES, &mut dst[j0 + LANES..j0 + 2 * LANES]);
-        j0 += 2 * LANES;
-        p += 2;
-    }
-    while j0 < n {
+/// Packs a `k × n` block (row stride `ld`) into [`LANES`]-column panels:
+/// `dst[p][kk·LANES + l] = src[kk][p·LANES + l]`. `dst` must be zeroed
+/// and hold `n.div_ceil(LANES) · k · LANES` elements.
+fn pack_panels(src: &[f32], ld: usize, k: usize, n: usize, dst: &mut [f32]) {
+    for p in 0..n.div_ceil(LANES) {
+        let j0 = p * LANES;
         let w = LANES.min(n - j0);
-        let panel = pb.panel(p);
-        let mut acc = [0.0f32; LANES];
-        for (&av, b8) in a_row.iter().zip(panel.chunks_exact(LANES)) {
-            for (o, &bv) in acc.iter_mut().zip(b8) {
-                *o += av * bv;
-            }
+        let panel = &mut dst[p * k * LANES..(p + 1) * k * LANES];
+        let rows = panel.chunks_exact_mut(LANES).zip(src.chunks(ld.max(1)));
+        if w == LANES {
+            // Fixed width: the copy inlines instead of calling `memcpy`.
+            rows.for_each(|(dst8, row)| dst8.copy_from_slice(&row[j0..j0 + LANES]));
+        } else {
+            rows.for_each(|(dst8, row)| dst8[..w].copy_from_slice(&row[j0..j0 + w]));
         }
-        finish_lane(&acc[..w], bias, act, j0, &mut dst[j0..j0 + w]);
-        j0 += w;
-        p += 1;
     }
 }
 
-/// Epilogue for one finished accumulator lane: adds the bias slice at
-/// column offset `j0` (when present) and applies the activation while
-/// storing into `dst`.
-#[inline]
-fn finish_lane(acc: &[f32], bias: Option<&[f32]>, act: Act, j0: usize, dst: &mut [f32]) {
-    let w = dst.len();
-    match bias {
-        Some(bs) => {
-            for ((o, &a), &bv) in dst.iter_mut().zip(acc).zip(&bs[j0..j0 + w]) {
-                *o = act.apply(a + bv);
+// ---- the register-blocked GEMM driver --------------------------------------
+
+/// Output rows per register tile.
+const MR: usize = 4;
+/// Packed panels ([`LANES`] columns each) per register tile.
+const NP: usize = 2;
+
+/// Which tile body the driver runs. Only tests name a variant; every
+/// serving call takes [`Isa::detect`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// `[f32; 8]` lane loops — every target, and the test oracle.
+    Portable,
+    /// Explicit 256-bit intrinsics, multiply then add.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The fastest body this CPU runs. `std` caches the CPUID answer, so
+    /// asking per kernel call is one atomic load.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Portable
+    }
+}
+
+/// The arithmetic of one register tile. Both bodies perform, per output
+/// element, the exact sequence `acc = acc + a * b` over ascending `k`
+/// starting from `+0.0`, then one `+ bias` — so they agree with each
+/// other and with the scalar reference byte for byte.
+trait Tile {
+    /// One accumulator of [`LANES`] output columns.
+    type Acc: Copy;
+
+    /// `acc[r][p][l] = Σ_kk a[r·lda + kk] · b[p·pstride + kk·LANES + l]`.
+    ///
+    /// # Safety
+    /// `a` must be readable for `(R-1)·lda + k` elements and `b` for
+    /// `(P-1)·pstride + k·LANES`; the CPU must support the body's ISA.
+    unsafe fn mac<const R: usize, const P: usize>(
+        a: *const f32,
+        lda: usize,
+        k: usize,
+        b: *const f32,
+        pstride: usize,
+    ) -> [[Self::Acc; P]; R];
+
+    /// `dst[..LANES] = acc + bias[..LANES]`, or `acc` when `bias` is null.
+    ///
+    /// # Safety
+    /// `dst` must be writable, and a non-null `bias` readable, for
+    /// [`LANES`] elements.
+    unsafe fn store(acc: Self::Acc, bias: *const f32, dst: *mut f32);
+}
+
+/// The portable tile body: the lane loops of [`matmul_into_mt`].
+struct Lanes;
+
+impl Tile for Lanes {
+    type Acc = [f32; LANES];
+
+    #[inline(always)]
+    unsafe fn mac<const R: usize, const P: usize>(
+        a: *const f32,
+        lda: usize,
+        k: usize,
+        b: *const f32,
+        pstride: usize,
+    ) -> [[Self::Acc; P]; R] {
+        let mut acc = [[[0.0f32; LANES]; P]; R];
+        for kk in 0..k {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = *a.add(r * lda + kk);
+                for (p, acc_rp) in acc_r.iter_mut().enumerate() {
+                    let b8 = &*b.add(p * pstride + kk * LANES).cast::<[f32; LANES]>();
+                    for (o, &bv) in acc_rp.iter_mut().zip(b8) {
+                        *o += av * bv;
+                    }
+                }
             }
         }
-        None => {
-            for (o, &a) in dst.iter_mut().zip(acc) {
-                *o = act.apply(a);
+        acc
+    }
+
+    #[inline(always)]
+    unsafe fn store(acc: Self::Acc, bias: *const f32, dst: *mut f32) {
+        let dst = &mut *dst.cast::<[f32; LANES]>();
+        if bias.is_null() {
+            *dst = acc;
+        } else {
+            let bias = &*bias.cast::<[f32; LANES]>();
+            for ((o, &a), &bv) in dst.iter_mut().zip(&acc).zip(bias) {
+                *o = a + bv;
+            }
+        }
+    }
+}
+
+/// The AVX2 tile body. Written with intrinsics because the lane loops
+/// compiled under `target_feature(enable = "avx2")` get *slower* (the
+/// SLP vectorizer splits each 8-lane accumulator; DESIGN §8). Nothing
+/// here carries a `target_feature` attribute itself: the bodies are
+/// `inline(always)` into [`gemm_rows_avx2`], which does.
+#[cfg(target_arch = "x86_64")]
+struct Avx2;
+
+#[cfg(target_arch = "x86_64")]
+impl Tile for Avx2 {
+    type Acc = std::arch::x86_64::__m256;
+
+    #[inline(always)]
+    unsafe fn mac<const R: usize, const P: usize>(
+        a: *const f32,
+        lda: usize,
+        k: usize,
+        b: *const f32,
+        pstride: usize,
+    ) -> [[Self::Acc; P]; R] {
+        use std::arch::x86_64::*;
+        let mut acc = [[_mm256_setzero_ps(); P]; R];
+        for kk in 0..k {
+            let mut bv = [_mm256_setzero_ps(); P];
+            for (p, bv_p) in bv.iter_mut().enumerate() {
+                *bv_p = _mm256_loadu_ps(b.add(p * pstride + kk * LANES));
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*a.add(r * lda + kk));
+                for (acc_rp, &bv_p) in acc_r.iter_mut().zip(&bv) {
+                    // Two roundings, as `acc += a * b` has. Never FMA.
+                    *acc_rp = _mm256_add_ps(*acc_rp, _mm256_mul_ps(av, bv_p));
+                }
+            }
+        }
+        acc
+    }
+
+    #[inline(always)]
+    unsafe fn store(acc: Self::Acc, bias: *const f32, dst: *mut f32) {
+        use std::arch::x86_64::*;
+        let v = if bias.is_null() { acc } else { _mm256_add_ps(acc, _mm256_loadu_ps(bias)) };
+        _mm256_storeu_ps(dst, v);
+    }
+}
+
+/// One GEMM problem over row-major operands with explicit row strides:
+/// `C[i, ..n] = A[i, ..k] · B (+ bias)`, `B` in packed [`LANES`]-column
+/// panels (the [`PackedB`] layout).
+struct Gemm<'a> {
+    a: &'a [f32],
+    lda: usize,
+    k: usize,
+    b: &'a [f32],
+    n: usize,
+    bias: Option<&'a [f32]>,
+    c: *mut f32,
+    ldc: usize,
+}
+
+/// Runs rows `[r0, r1)` of `g` with the chosen tile body.
+///
+/// # Safety
+/// `g.c` must be writable at `i·ldc + j` for every `i` in `[r0, r1)` and
+/// `j < n`, and no other thread may touch those elements meanwhile.
+unsafe fn gemm(isa: Isa, g: &Gemm, r0: usize, r1: usize) {
+    if r0 >= r1 {
+        return;
+    }
+    // The tile bodies read through raw pointers; these two checks are
+    // what bounds every such read.
+    assert!((r1 - 1) * g.lda + g.k <= g.a.len(), "gemm: A out of bounds");
+    assert!(g.n.div_ceil(LANES) * g.k * LANES <= g.b.len(), "gemm: packed B out of bounds");
+    assert!(g.bias.is_none_or(|b| b.len() >= g.n), "gemm: bias out of bounds");
+    match isa {
+        Isa::Portable => gemm_rows::<Lanes>(g, r0, r1),
+        // SAFETY: `Isa::Avx2` is only produced after the CPU check.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => gemm_rows_avx2(g, r0, r1),
+    }
+}
+
+/// The one place AVX2 code generation is switched on — `avx2` alone, so
+/// no FMA instruction can be selected.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_rows_avx2(g: &Gemm, r0: usize, r1: usize) {
+    gemm_rows::<Avx2>(g, r0, r1)
+}
+
+/// Panel-outer, row-inner: one `NP`-panel strip of `B` (`k × 16` floats)
+/// stays in L1 while every `MR`-row block of the range passes over it.
+///
+/// # Safety
+/// As [`gemm`], whose bounds checks have passed.
+#[inline(always)]
+unsafe fn gemm_rows<T: Tile>(g: &Gemm, r0: usize, r1: usize) {
+    let panels = g.n.div_ceil(LANES);
+    let mut p = 0;
+    while p < panels {
+        let np = NP.min(panels - p);
+        let mut i = r0;
+        while i < r1 {
+            let mr = MR.min(r1 - i);
+            match (mr, np) {
+                (4, 2) => tile::<T, 4, 2>(g, i, p),
+                (3, 2) => tile::<T, 3, 2>(g, i, p),
+                (2, 2) => tile::<T, 2, 2>(g, i, p),
+                (1, 2) => tile::<T, 1, 2>(g, i, p),
+                (4, 1) => tile::<T, 4, 1>(g, i, p),
+                (3, 1) => tile::<T, 3, 1>(g, i, p),
+                (2, 1) => tile::<T, 2, 1>(g, i, p),
+                (1, 1) => tile::<T, 1, 1>(g, i, p),
+                _ => unreachable!("tile {mr}x{np} outside {MR}x{NP}"),
+            }
+            i += mr;
+        }
+        p += np;
+    }
+}
+
+/// Rows `[i, i+R)` × panels `[p, p+P)`: accumulate, add the bias, store.
+/// A panel narrower than [`LANES`] (the last one) goes through padded
+/// temporaries so neither the bias read nor the store leaves the row.
+///
+/// # Safety
+/// As [`gemm_rows`], with the tile inside the problem.
+#[inline(always)]
+unsafe fn tile<T: Tile, const R: usize, const P: usize>(g: &Gemm, i: usize, p: usize) {
+    let pstride = g.k * LANES;
+    let acc = T::mac::<R, P>(g.a.as_ptr().add(i * g.lda), g.lda, g.k, g.b.as_ptr().add(p * pstride), pstride);
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (q, &acc_rq) in acc_r.iter().enumerate() {
+            let j0 = (p + q) * LANES;
+            let w = LANES.min(g.n - j0);
+            let dst = g.c.add((i + r) * g.ldc + j0);
+            if w == LANES {
+                let bias = g.bias.map_or(std::ptr::null(), |b| b.as_ptr().add(j0));
+                T::store(acc_rq, bias, dst);
+            } else {
+                let mut bias8 = [0.0f32; LANES];
+                let mut out8 = [0.0f32; LANES];
+                let bias = g.bias.map_or(std::ptr::null(), |b| {
+                    bias8[..w].copy_from_slice(&b[j0..j0 + w]);
+                    bias8.as_ptr()
+                });
+                T::store(acc_rq, bias, out8.as_mut_ptr());
+                std::ptr::copy_nonoverlapping(out8.as_ptr(), dst, w);
             }
         }
     }
@@ -480,6 +656,18 @@ pub fn matmul_packed_into(
     threads: usize,
     out: &mut Matrix,
 ) {
+    matmul_packed_with(Isa::detect(), a, pb, bias, act, threads, out)
+}
+
+fn matmul_packed_with(
+    isa: Isa,
+    a: &Matrix,
+    pb: &PackedB,
+    bias: Option<&Matrix>,
+    act: Act,
+    threads: usize,
+    out: &mut Matrix,
+) {
     let (k, n) = pb.shape();
     assert_eq!(a.cols(), k, "packed matmul {}x{} @ {}x{}", a.rows(), a.cols(), k, n);
     assert_eq!(out.shape(), (a.rows(), n), "packed matmul output shape");
@@ -490,14 +678,62 @@ pub fn matmul_packed_into(
     let flops = 2 * a.rows() * k * n;
     let mo = RowsOut::new(out);
     run_row_ranges(threads, a.rows(), flops, &|r0, r1| {
-        for i in r0..r1 {
-            // SAFETY: rows in [r0, r1) belong exclusively to this range.
-            packed_row(a.row_slice(i), pb, bias, act, unsafe { mo.row(i) });
+        let g = Gemm { a: a.as_slice(), lda: k, k, b: &pb.data, n, bias, c: mo.ptr, ldc: n };
+        // SAFETY: `out` is `[a.rows, n]` and rows in [r0, r1) belong
+        // exclusively to this range.
+        unsafe { gemm(isa, &g, r0, r1) };
+        // The activation is a second pass over the finished rows, outside
+        // the AVX2 function: libm calls from inside it pay a `vzeroupper`
+        // each (DESIGN §8). Same value sequence as the composed ops:
+        // `act(acc + bias)`.
+        if act != Act::Ident {
+            for i in r0..r1 {
+                // SAFETY: as above.
+                for v in unsafe { mo.row(i) } {
+                    *v = act.apply(*v);
+                }
+            }
         }
     });
 }
 
 // ---- fused block-diagonal attention ----------------------------------------
+
+/// Per-thread buffers of [`attn_blocks_into`]: one (sequence, head)'s
+/// packed `Kᵀ`, packed `V` and score matrix. Thread-local so a warmed
+/// worker allocates nothing per call.
+struct AttnScratch {
+    kt: Vec<f32>,
+    vp: Vec<f32>,
+    scores: Vec<f32>,
+}
+
+thread_local! {
+    static ATTN_SCRATCH: RefCell<AttnScratch> =
+        const { RefCell::new(AttnScratch { kt: Vec::new(), vp: Vec::new(), scores: Vec::new() }) };
+}
+
+/// `buf[..len]`, growing the allocation when it is short. Contents are
+/// whatever an earlier call left.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Packs the *transpose* of a `rows × k` block (row stride `ld`) into
+/// panels of [`LANES`] block rows: `dst[p][c·LANES + l] = src[p·LANES + l][c]`
+/// — the `B = Kᵀ` operand of the attention-score product. `dst` must be
+/// zeroed and hold `rows.div_ceil(LANES) · k · LANES` elements.
+fn pack_panels_transposed(src: &[f32], ld: usize, rows: usize, k: usize, dst: &mut [f32]) {
+    for j in 0..rows {
+        let panel = &mut dst[(j / LANES) * k * LANES..][..k * LANES];
+        for (c, &x) in src[j * ld..j * ld + k].iter().enumerate() {
+            panel[c * LANES + j % LANES] = x;
+        }
+    }
+}
 
 /// Block-diagonal multi-head attention over row-stacked sequences, in one
 /// pass: for every sequence `b` and head `h`,
@@ -507,12 +743,11 @@ pub fn matmul_packed_into(
 /// ```
 ///
 /// where `qb` / `kb` are sequence `b`'s row ranges of the projected
-/// stacks. This replaces, per head, the composed
-/// `slice_cols → slice_rows×3 → matmul_bt → softmax_rows_scaled → matmul
-/// → vcat_all → hcat` chain — which materializes several full-stack
-/// copies per layer — with strided reads of `q`/`k`/`v` and direct
-/// writes into the head-merged output. No intermediate matrix is ever
-/// allocated beyond one scores row.
+/// stacks. Per (sequence, head) the kernel packs `K[kb,h]ᵀ` and `V[kb,h]`
+/// into panels in a per-thread scratch and runs both products through
+/// the register-blocked driver the packed linears use: `Q` is read in
+/// place (row stride `dim`), the scores land in the scratch, and the
+/// context rows are written straight into the head-merged output.
 ///
 /// Bit-identity: every score is one ascending-`c` accumulator chain
 /// (exactly [`matmul_bt_into_mt`] on the sliced block), the scaled
@@ -522,13 +757,30 @@ pub fn matmul_packed_into(
 /// order (exactly [`matmul_into_mt`] on the sliced block) — so the
 /// result matches the composed ops byte for byte.
 ///
-/// Parallelism is per sequence: a block's rows are written entirely by
-/// one thread, so thread count cannot affect values.
+/// Parallelism is per (sequence, head), so a one-sequence call still
+/// spreads over `threads`; an output element is written by exactly one
+/// thread, so thread count cannot affect values.
 ///
 /// # Panics
 /// Panics when shapes, lengths, or `heads` disagree.
 #[allow(clippy::too_many_arguments)]
 pub fn attn_blocks_into(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    q_lens: &[usize],
+    kv_lens: &[usize],
+    heads: usize,
+    scale: f32,
+    threads: usize,
+    out: &mut Matrix,
+) {
+    attn_blocks_with(Isa::detect(), q, k, v, q_lens, kv_lens, heads, scale, threads, out)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn attn_blocks_with(
+    isa: Isa,
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
@@ -564,59 +816,53 @@ pub fn attn_blocks_into(
     }
     let flops: usize = q_lens.iter().zip(kv_lens).map(|(&ql, &kl)| 4 * ql * kl * dim).sum();
     let mo = RowsOut::new(out);
-    run_row_ranges(threads, nb, flops, &|b0, b1| {
-        let mut scores: Vec<f32> = Vec::new();
-        for b in b0..b1 {
-            let (qoff, ql) = (q_offs[b], q_lens[b]);
-            let (koff, kl) = (kv_offs[b], kv_lens[b]);
-            for h in 0..heads {
-                let c0 = h * dh;
-                for i in 0..ql {
-                    let qrow = &q.row_slice(qoff + i)[c0..c0 + dh];
-                    scores.clear();
-                    scores.resize(kl, 0.0);
-                    // Eight independent ascending-`c` chains per pass,
-                    // one accumulator per key row — the matmul_bt lane
-                    // kernel applied to the strided block.
-                    let mut j = 0;
-                    while j < kl {
-                        let w = LANES.min(kl - j);
-                        let mut acc = [0.0f32; LANES];
-                        if w == LANES {
-                            let kr: [&[f32]; LANES] =
-                                std::array::from_fn(|l| &k.row_slice(koff + j + l)[c0..c0 + dh]);
-                            for (c, &qv) in qrow.iter().enumerate() {
-                                for (o, krow) in acc.iter_mut().zip(&kr) {
-                                    // SAFETY: c < dh == krow.len().
-                                    *o += qv * unsafe { *krow.get_unchecked(c) };
-                                }
-                            }
-                        } else {
-                            for (l, o) in acc.iter_mut().enumerate().take(w) {
-                                let mut s = 0.0f32;
-                                for (&x, &y) in qrow.iter().zip(&k.row_slice(koff + j + l)[c0..c0 + dh]) {
-                                    s += x * y;
-                                }
-                                *o = s;
-                            }
+    run_row_ranges(threads, nb * heads, flops, &|i0, i1| {
+        ATTN_SCRATCH.with_borrow_mut(|s| {
+            for item in i0..i1 {
+                let (b, c0) = (item / heads, item % heads * dh);
+                let (qoff, ql) = (q_offs[b], q_lens[b]);
+                let (koff, kl) = (kv_offs[b], kv_lens[b]);
+                if ql == 0 {
+                    continue;
+                }
+                let kt = grown(&mut s.kt, kl.div_ceil(LANES) * dh * LANES);
+                let vp = grown(&mut s.vp, dh.div_ceil(LANES) * kl * LANES);
+                let scores = grown(&mut s.scores, ql * kl);
+                if kl > 0 {
+                    // The packs want zeroed padding lanes; `scores` is
+                    // overwritten whole by the first product.
+                    kt.fill(0.0);
+                    vp.fill(0.0);
+                    pack_panels_transposed(&k.as_slice()[koff * dim + c0..], dim, kl, dh, kt);
+                    pack_panels(&v.as_slice()[koff * dim + c0..], dim, kl, dh, vp);
+                    let qk = Gemm {
+                        a: &q.as_slice()[qoff * dim + c0..],
+                        lda: dim,
+                        k: dh,
+                        b: kt,
+                        n: kl,
+                        bias: None,
+                        c: scores.as_mut_ptr(),
+                        ldc: kl,
+                    };
+                    // SAFETY: `scores` is this thread's `[ql, kl]` buffer.
+                    unsafe { gemm(isa, &qk, 0, ql) };
+                    for row in scores.chunks_exact_mut(kl) {
+                        for x in row.iter_mut() {
+                            *x *= scale;
                         }
-                        scores[j..j + w].copy_from_slice(&acc[..w]);
-                        j += w;
-                    }
-                    for s in scores.iter_mut() {
-                        *s *= scale;
-                    }
-                    softmax_row(&mut scores);
-                    // SAFETY: block row ranges are disjoint and this
-                    // block belongs exclusively to this thread.
-                    let seg = &mut unsafe { mo.row(qoff + i) }[c0..c0 + dh];
-                    seg.fill(0.0);
-                    for (j, &aw) in scores.iter().enumerate() {
-                        axpy_lanes(seg, aw, &v.row_slice(koff + j)[c0..c0 + dh]);
+                        softmax_row(row);
                     }
                 }
+                // SAFETY: (qoff, c0) is inside `out`; the `[ql, dh]`
+                // segment below it belongs to this (sequence, head) alone.
+                let pv =
+                    Gemm { a: scores, lda: kl, k: kl, b: vp, n: dh, bias: None, c: unsafe { mo.at(qoff, c0) }, ldc: dim };
+                // SAFETY: as above. With `kl == 0` this stores the zeros
+                // an empty weighted sum is.
+                unsafe { gemm(isa, &pv, 0, ql) };
             }
-        }
+        })
     });
 }
 
@@ -802,29 +1048,91 @@ mod tests {
         assert_eq!(ln.as_slice(), want.as_slice());
     }
 
-    #[test]
-    fn attn_blocks_matches_composed_ops_bitwise() {
-        let heads = 2;
-        let dim = 16;
-        let dh = dim / heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        // The third block alone clears PAR_MIN_FLOPS, so the threaded
-        // runs below genuinely exercise the pool path.
-        let q_lens = [3usize, 1, 40, 9];
-        let kv_lens = [4usize, 7, 30, 9];
-        let tq: usize = q_lens.iter().sum();
-        let tk: usize = kv_lens.iter().sum();
-        let q = wavy(tq, dim, 0.3);
-        let k = wavy(tk, dim, 1.3);
-        let v = wavy(tk, dim, 2.3);
+    /// Every tile body this host can run: the portable one always, the
+    /// AVX2 one where the CPU has it. Says so when it does not, so a run
+    /// that compared nothing against the intrinsics is visible.
+    fn tile_bodies() -> Vec<Isa> {
+        let mut bodies = vec![Isa::Portable];
+        if Isa::detect() == Isa::Portable {
+            eprintln!("no AVX2 on this host: the AVX2 tile was compared against nothing");
+        } else {
+            bodies.push(Isa::detect());
+        }
+        bodies
+    }
 
-        // Composed reference: per head, slice the blocks out, run the
-        // standalone kernels, and merge heads into the output layout.
-        let mut want = Matrix::zeros(tq, dim);
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn packed_driver_matches_lane_matmul_bias_act_bytewise_on_every_tile_body() {
+        // Row counts around MR, widths that end in a lone or a partial
+        // panel, an empty reduction, and the serving shapes (feed-forward,
+        // attention score and context products).
+        let shapes = [
+            (1, 1, 1),
+            (3, 5, 7),
+            (4, 16, 9),
+            (13, 100, 21),
+            (5, 0, 9),
+            (9, 33, 17),
+            (64, 312, 1200),
+            (7, 312, 26),
+            (230, 26, 320),
+        ];
+        for (m, k, n) in shapes {
+            let a = wavy(m, k, 0.1);
+            let b = wavy(k, n, 0.9);
+            let bias = wavy(1, n, 2.9);
+            let pb = PackedB::pack(&b);
+            let mut plain = Matrix::zeros(m, n);
+            matmul_into_mt(&a, &b, 1, &mut plain);
+            for act in [Act::Ident, Act::Relu, Act::Gelu, Act::Sigmoid, Act::Tanh] {
+                let mut want = plain.clone();
+                for r in 0..m {
+                    for (v, &bv) in want.row_slice_mut(r).iter_mut().zip(bias.as_slice()) {
+                        *v = act.apply(*v + bv);
+                    }
+                }
+                for isa in tile_bodies() {
+                    for threads in [1, 2, 3] {
+                        let mut got = Matrix::zeros(m, n);
+                        matmul_packed_with(isa, &a, &pb, Some(&bias), act, threads, &mut got);
+                        assert_same_bits(&got, &want, &format!("{m}x{k}x{n} {act:?} {isa:?} threads={threads}"));
+                    }
+                }
+            }
+            for isa in tile_bodies() {
+                let mut got = Matrix::zeros(m, n);
+                matmul_packed_with(isa, &a, &pb, None, Act::Ident, 1, &mut got);
+                assert_same_bits(&got, &plain, &format!("{m}x{k}x{n} no bias {isa:?}"));
+            }
+        }
+    }
+
+    /// Composed reference for [`attn_blocks_into`]: per head, slice the
+    /// blocks out, run the standalone kernels, and merge heads into the
+    /// output layout.
+    fn composed_attention(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        q_lens: &[usize],
+        kv_lens: &[usize],
+        heads: usize,
+        scale: f32,
+    ) -> Matrix {
+        let dim = q.cols();
+        let dh = dim / heads;
+        let mut want = Matrix::zeros(q.rows(), dim);
         for h in 0..heads {
             let c0 = h * dh;
             let (mut qo, mut ko) = (0usize, 0usize);
-            for (&ql, &kl) in q_lens.iter().zip(&kv_lens) {
+            for (&ql, &kl) in q_lens.iter().zip(kv_lens) {
                 let slice_block = |m: &Matrix, r0: usize, rows: usize| {
                     let mut s = Matrix::zeros(rows, dh);
                     for r in 0..rows {
@@ -832,9 +1140,9 @@ mod tests {
                     }
                     s
                 };
-                let qb = slice_block(&q, qo, ql);
-                let kb = slice_block(&k, ko, kl);
-                let vb = slice_block(&v, ko, kl);
+                let qb = slice_block(q, qo, ql);
+                let kb = slice_block(k, ko, kl);
+                let vb = slice_block(v, ko, kl);
                 let mut raw = Matrix::zeros(ql, kl);
                 matmul_bt_into_mt(&qb, &kb, 1, &mut raw);
                 let mut attn = Matrix::zeros(ql, kl);
@@ -848,11 +1156,39 @@ mod tests {
                 ko += kl;
             }
         }
+        want
+    }
 
-        for threads in [1, 3] {
-            let mut got = Matrix::zeros(tq, dim);
-            attn_blocks_into(&q, &k, &v, &q_lens, &kv_lens, heads, scale, threads, &mut got);
-            assert_eq!(got.as_slice(), want.as_slice(), "threads={threads}");
+    #[test]
+    fn attn_blocks_matches_composed_ops_bitwise() {
+        // The first case's third block alone clears PAR_MIN_FLOPS, so its
+        // threaded runs genuinely exercise the pool path; the second is
+        // the paper encoder's cross-attention; the last two carry a
+        // sequence with no keys and one with no queries.
+        let cases: [(usize, usize, &[usize], &[usize]); 6] = [
+            (2, 16, &[3, 1, 40, 9], &[4, 7, 30, 9]),
+            (12, 312, &[230], &[320]),
+            (12, 312, &[5, 17, 1], &[9, 33, 8]),
+            (4, 64, &[25, 7], &[25, 31]),
+            (2, 16, &[3, 4, 2], &[5, 0, 6]),
+            (2, 16, &[3, 0, 2], &[5, 4, 6]),
+        ];
+        for (heads, dim, q_lens, kv_lens) in cases {
+            let scale = 1.0 / ((dim / heads) as f32).sqrt();
+            let tq: usize = q_lens.iter().sum();
+            let tk: usize = kv_lens.iter().sum();
+            let q = wavy(tq, dim, 0.3);
+            let k = wavy(tk, dim, 1.3);
+            let v = wavy(tk, dim, 2.3);
+            let want = composed_attention(&q, &k, &v, q_lens, kv_lens, heads, scale);
+            for isa in tile_bodies() {
+                for threads in [1, 3] {
+                    // Poisoned, so an element the kernel skips shows.
+                    let mut got = Matrix::full(tq, dim, f32::NAN);
+                    attn_blocks_with(isa, &q, &k, &v, q_lens, kv_lens, heads, scale, threads, &mut got);
+                    assert_same_bits(&got, &want, &format!("{heads}h d{dim} q{q_lens:?} kv{kv_lens:?} {isa:?} threads={threads}"));
+                }
+            }
         }
     }
 

@@ -192,30 +192,11 @@ impl MultiHeadAttention {
     }
 
     /// Attention with queries from `q_in` (`[Lq, dim]`) and keys/values
-    /// from `kv_in` (`[Lkv, dim]`); output is `[Lq, dim]`.
+    /// from `kv_in` (`[Lkv, dim]`); output is `[Lq, dim]`. One sequence is
+    /// a batch of one: the same body as [`Self::forward_batched`].
     pub fn forward<E: Forward + ?Sized>(&self, ex: &mut E, store: &ParamStore, q_in: NodeId, kv_in: NodeId) -> NodeId {
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let q = self.wq.forward(ex, store, q_in);
-        let k = self.wk.forward(ex, store, kv_in);
-        let v = self.wv.forward(ex, store, kv_in);
-        let mut merged: Option<NodeId> = None;
-        for h in 0..self.heads {
-            let qh = ex.slice_cols(q, h * dh, dh);
-            let kh = ex.slice_cols(k, h * dh, dh);
-            let vh = ex.slice_cols(v, h * dh, dh);
-            // Transpose-free scores + fused scale/softmax: the serving
-            // backend runs both as single kernels; the tape records the
-            // composed transpose/matmul/scale/softmax ops.
-            let scores = ex.matmul_bt(qh, kh);
-            let attn = ex.softmax_rows_scaled(scores, scale);
-            let out = ex.matmul(attn, vh);
-            merged = Some(match merged {
-                Some(prev) => ex.hcat(prev, out),
-                None => out,
-            });
-        }
-        self.wo.forward(ex, store, merged.expect("at least one head"))
+        let (lq, lkv) = (ex.value(q_in).rows(), ex.value(kv_in).rows());
+        self.forward_batched(ex, store, q_in, kv_in, &[lq], &[lkv])
     }
 
     /// Self-attention convenience: `forward(x, x)`.
@@ -312,12 +293,8 @@ impl TransformerLayer {
     /// residual is taken on the *query* stream, so the output keeps the
     /// query's sequence length. Self-attention is `forward(x, x)`.
     pub fn forward<E: Forward + ?Sized>(&self, ex: &mut E, store: &ParamStore, q_in: NodeId, kv_in: NodeId) -> NodeId {
-        let attn_out = self.attn.forward(ex, store, q_in, kv_in);
-        let res1 = ex.add(q_in, attn_out);
-        let x = self.ln1.forward(ex, store, res1);
-        let ffn_out = self.ffn.forward(ex, store, x);
-        let res2 = ex.add(x, ffn_out);
-        self.ln2.forward(ex, store, res2)
+        let (lq, lkv) = (ex.value(q_in).rows(), ex.value(kv_in).rows());
+        self.forward_batched(ex, store, q_in, kv_in, &[lq], &[lkv])
     }
 
     /// Batched block over B row-stacked sequences: attention is
@@ -439,6 +416,61 @@ mod tests {
         let kv = t.leaf(Matrix::full(7, 8, -0.2));
         let y = mha.forward(&mut t, &s, q, kv);
         assert_eq!(t.value(y).shape(), (3, 8));
+    }
+
+    /// The per-head loop `MultiHeadAttention::forward` ran before it
+    /// became a one-block `attn_blocks` call — the oracle for it.
+    fn per_head_attention(mha: &MultiHeadAttention, t: &mut Tape, store: &ParamStore, q_in: NodeId, kv_in: NodeId) -> NodeId {
+        let dh = mha.dim / mha.heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let q = mha.wq.forward(t, store, q_in);
+        let k = mha.wk.forward(t, store, kv_in);
+        let v = mha.wv.forward(t, store, kv_in);
+        let mut merged: Option<NodeId> = None;
+        for h in 0..mha.heads {
+            let qh = Forward::slice_cols(t, q, h * dh, dh);
+            let kh = Forward::slice_cols(t, k, h * dh, dh);
+            let vh = Forward::slice_cols(t, v, h * dh, dh);
+            let scores = Forward::matmul_bt(t, qh, kh);
+            let attn = Forward::softmax_rows_scaled(t, scores, scale);
+            let out = Forward::matmul(t, attn, vh);
+            merged = Some(match merged {
+                Some(prev) => Forward::hcat(t, prev, out),
+                None => out,
+            });
+        }
+        mha.wo.forward(t, store, merged.expect("at least one head"))
+    }
+
+    #[test]
+    fn mha_forward_on_tape_equals_per_head_loop_in_values_gradients_and_ops() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        // Self-attention (one node feeds both streams) and cross-attention
+        // with Lq != Lkv.
+        for (lq, lkv) in [(5usize, 5usize), (3, 7)] {
+            let mut s = store();
+            let mha = MultiHeadAttention::new(&mut s, "a", 12, 3);
+            let mk = |rows: usize, seed: f32| Matrix::from_vec(rows, 12, (0..rows * 12).map(|i| (i as f32 * seed).sin()).collect());
+            let (q_val, kv_val) = (mk(lq, 0.37), mk(lkv, 0.53));
+            let mut run = |oracle: bool| {
+                let mut t = Tape::new();
+                let q = t.leaf(q_val.clone());
+                let kv = if lq == lkv { q } else { t.leaf(kv_val.clone()) };
+                let y = if oracle { per_head_attention(&mha, &mut t, &s, q, kv) } else { mha.forward(&mut t, &s, q, kv) };
+                let sq = t.square(y);
+                let loss = t.sum(sq);
+                t.backward(loss);
+                s.zero_grads();
+                t.accumulate_param_grads(&mut s);
+                let grads: Vec<Vec<u32>> = s.ids().map(|id| bits(&s.grad(id))).collect();
+                (bits(t.value(y)), grads, t.len())
+            };
+            let (want_y, want_grads, want_ops) = run(true);
+            let (got_y, got_grads, got_ops) = run(false);
+            assert_eq!(got_y, want_y, "forward values, Lq={lq} Lkv={lkv}");
+            assert_eq!(got_grads, want_grads, "parameter gradients, Lq={lq} Lkv={lkv}");
+            assert_eq!(got_ops, want_ops, "tape nodes recorded, Lq={lq} Lkv={lkv}");
+        }
     }
 
     #[test]

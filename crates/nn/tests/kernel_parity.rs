@@ -14,9 +14,11 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 
 /// Shape strategy spanning sub-lane, exact-lane, and lane+remainder
 /// widths so every code path (full panels, tail panel, tiny matrices)
-/// is exercised.
+/// is exercised — and, for the packed driver's 4-row × 2-panel register
+/// tile, row counts on both sides of a multiple of 4 and widths that end
+/// in a lone last panel, full (24, 40) or partial (17, 33, 41).
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (1usize..6, 1usize..12, 1usize..20)
+    (1usize..14, 1usize..12, prop_oneof![1usize..20, prop::sample::select(vec![24usize, 33, 40, 41])])
 }
 
 /// The composed reference for a fused `act(x @ w + bias)`: plain matmul,
@@ -78,8 +80,8 @@ proptest! {
     #[test]
     fn packed_matmul_is_bit_identical_to_unpacked(
         (m, k, n) in dims(),
-        a in prop::collection::vec(-2.0f32..2.0, 128),
-        b in prop::collection::vec(-2.0f32..2.0, 256),
+        a in prop::collection::vec(-2.0f32..2.0, 160),
+        b in prop::collection::vec(-2.0f32..2.0, 640),
     ) {
         prop_assume!(a.len() >= m * k && b.len() >= k * n);
         let a = Matrix::from_vec(m, k, a[..m * k].to_vec());
@@ -96,8 +98,8 @@ proptest! {
     #[test]
     fn fused_bias_activation_is_bit_identical_to_composed(
         (m, k, n) in dims(),
-        x in prop::collection::vec(-2.0f32..2.0, 128),
-        w in prop::collection::vec(-2.0f32..2.0, 256),
+        x in prop::collection::vec(-2.0f32..2.0, 160),
+        w in prop::collection::vec(-2.0f32..2.0, 640),
         bias_salt in -2.0f32..2.0,
         act_pick in 0usize..5,
     ) {
@@ -157,8 +159,8 @@ proptest! {
     #[test]
     fn transpose_free_variants_match_explicit_transposes(
         (m, k, n) in dims(),
-        a in prop::collection::vec(-2.0f32..2.0, 128),
-        b in prop::collection::vec(-2.0f32..2.0, 256),
+        a in prop::collection::vec(-2.0f32..2.0, 160),
+        b in prop::collection::vec(-2.0f32..2.0, 640),
     ) {
         prop_assume!(a.len() >= m * k && b.len() >= k * n && b.len() >= m * n);
         let a = Matrix::from_vec(m, k, a[..m * k].to_vec());
