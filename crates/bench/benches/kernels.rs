@@ -91,6 +91,20 @@ fn bench_rowwise(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_epilogues(c: &mut Criterion) {
+    // What follows the GEMMs, at the shapes serving runs them: the paper
+    // feed-forward's GELU, one head's attention scores at the paper's
+    // cross-attention shape, and the classifier's sigmoid over 255 types.
+    let mut group = c.benchmark_group("epilogues");
+    let mut ff = Matrix::full(64, 1200, 0.5);
+    group.bench_function("gelu_64x1200", |b| b.iter(|| Act::Gelu.apply_slice(black_box(ff.as_mut_slice()))));
+    let scores = Matrix::full(230, 320, 0.1);
+    group.bench_function("softmax_230x320", |b| b.iter(|| black_box(scores.softmax_rows())));
+    let mut logits = Matrix::full(64, 255, 0.5);
+    group.bench_function("sigmoid_64x255", |b| b.iter(|| Act::Sigmoid.apply_slice(black_box(logits.as_mut_slice()))));
+    group.finish();
+}
+
 fn bench_tokenizer(c: &mut Criterion) {
     let mut vb = VocabBuilder::new();
     for w in ["customer", "orders", "city", "phone", "number", "shipment", "address"] {
@@ -106,6 +120,6 @@ fn bench_tokenizer(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_kernel_variants, bench_micro_kernel, bench_rowwise, bench_tokenizer
+    targets = bench_matmul, bench_kernel_variants, bench_micro_kernel, bench_rowwise, bench_epilogues, bench_tokenizer
 }
 criterion_main!(benches);

@@ -78,6 +78,24 @@ fn saturated_model() -> Arc<Adtd> {
     Arc::new(m)
 }
 
+/// A candidate whose weights are all finite — it passes the registry's
+/// load-time check — but whose forward pass is not: the query and key
+/// projections are scaled until every attention score overflows, and the
+/// softmax of a row holding `inf` is `inf − inf`.
+fn overflowing_model() -> Adtd {
+    let mut m = Adtd::new(ModelConfig::tiny(), tokenizer(), 4, SEED);
+    let ids: Vec<_> = m.store.ids().collect();
+    for id in ids {
+        let name = m.store.name(id);
+        if name.ends_with(".q.w") || name.ends_with(".k.w") {
+            for v in m.store.value_mut(id).as_mut_slice() {
+                *v *= 1e24;
+            }
+        }
+    }
+    m
+}
+
 /// Wide α/β band: every column is uncertain after P1, so every table
 /// exercises the full two-phase path.
 fn wide_band(pipelining: bool) -> TasteConfig {
@@ -182,10 +200,10 @@ fn healthy_candidate_promotes_and_matches_the_static_run() {
 /// (quarantined, never serves), and a regressing candidate (rolls back
 /// on agreement) — all while the engine serves batch after batch.
 /// Exactly one rollback per bad candidate, and zero tables fail or
-/// degrade because of the swaps. (The non-finite output sentinel is
-/// covered at unit level: in debug builds the NN executor asserts
+/// degrade because of the swaps. (The non-finite output sentinel has its
+/// own release-only test below: in debug builds the NN executor asserts
 /// finiteness inside the forward pass, so a NaN-emitting model cannot
-/// even reach the engine's sentinel here.)
+/// even reach the engine's sentinel.)
 #[test]
 fn swap_under_load_promotes_quarantines_and_rolls_back() {
     let latency = LatencyProfile {
@@ -275,6 +293,48 @@ fn swap_under_load_promotes_quarantines_and_rolls_back() {
     assert!(counts.keys().all(|v| [1, 2, 4].contains(v)), "unexpected versions {counts:?}");
     assert!(counts.get(&2).copied().unwrap_or(0) > 0, "promoted model must serve");
 
+    let _ = std::fs::remove_dir_all(&reg_dir);
+}
+
+/// The non-finite sentinel, end to end: a candidate that loads cleanly
+/// but overflows inside attention must reach the sentinel as NaN
+/// probabilities — not be laundered into finite ones on the way (ReLU
+/// built on `f32::max` turned the head's NaN pre-activations into zeros)
+/// — trip it on its first canary table, and harm no request. Release
+/// only: a debug build panics on the executor's `debug_assert!` first.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds assert finiteness inside the forward pass")]
+fn numerically_broken_candidate_trips_the_nonfinite_sentinel() {
+    let (db, ids) = fixture_db(12, LatencyProfile::zero());
+    let reference = engine(wide_band(true)).detect_batch(&db, &ids).unwrap();
+
+    let eng = engine(TasteConfig { rollout: rollout_cfg(1.0, 4), ..wide_band(true) });
+    let rc = eng.rollout().expect("rollout enabled");
+    let reg_dir = std::env::temp_dir().join(format!("taste-rollout-nonfinite-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&reg_dir);
+    let registry = ModelRegistry::new(&reg_dir).unwrap();
+    registry.publish(&overflowing_model(), 2).unwrap();
+    assert!(rc.adopt_latest(&registry).unwrap(), "finite weights must pass the load-time check");
+    assert_eq!(rc.candidate_version(), Some(2));
+
+    let report = eng.detect_batch(&db, &ids).unwrap();
+    assert_all_completed(std::slice::from_ref(&report));
+    let s = &report.rollout;
+    assert_eq!((s.promotions, s.rollbacks), (0, 1));
+    assert_eq!((s.initial_version, s.final_version), (1, 1));
+    assert_eq!(s.episodes[0].outcome, EpisodeOutcome::RolledBack);
+    assert!(
+        s.episodes[0].cause.as_deref().unwrap().contains("non-finite"),
+        "the sentinel, not another gate, must roll it back: {:?}",
+        s.episodes[0].cause
+    );
+    // Every table, the canaried ones included, carries the incumbent's
+    // verdicts and version.
+    for (tr, rf) in report.tables.iter().zip(&reference.tables) {
+        assert_eq!(tr.model_version, 1);
+        assert_eq!(tr.admitted, rf.admitted);
+        assert_eq!(tr.uncertain_columns, rf.uncertain_columns);
+    }
     let _ = std::fs::remove_dir_all(&reg_dir);
 }
 

@@ -45,7 +45,7 @@
 use crate::kernels::{self, Act, PackedB};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{gelu_f, sigmoid_f, NodeId, Tape};
+use crate::tape::{NodeId, Tape};
 use std::collections::HashMap;
 
 /// The forward op set shared by the training ([`Tape`]) and serving
@@ -583,12 +583,11 @@ impl ExecSession<'_> {
         self.push_slot(Slot::Buf(oi))
     }
 
-    fn map_into(&mut self, x: NodeId, f: impl Fn(f32) -> f32) -> NodeId {
+    fn act_into(&mut self, x: NodeId, act: Act) -> NodeId {
         let (rows, cols) = self.get(x).shape();
         self.compute(rows, cols, |s, out| {
-            for (o, &v) in out.as_mut_slice().iter_mut().zip(s.get(x).as_slice()) {
-                *o = f(v);
-            }
+            out.copy_from(s.get(x));
+            act.apply_slice(out.as_mut_slice());
         })
     }
 
@@ -697,23 +696,28 @@ impl Forward for ExecSession<'_> {
     }
 
     fn scale(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        self.map_into(x, |v| v * alpha)
+        let (rows, cols) = self.get(x).shape();
+        self.compute(rows, cols, |s, out| {
+            for (o, &v) in out.as_mut_slice().iter_mut().zip(s.get(x).as_slice()) {
+                *o = v * alpha;
+            }
+        })
     }
 
     fn relu(&mut self, x: NodeId) -> NodeId {
-        self.map_into(x, |v| v.max(0.0))
+        self.act_into(x, Act::Relu)
     }
 
     fn gelu(&mut self, x: NodeId) -> NodeId {
-        self.map_into(x, gelu_f)
+        self.act_into(x, Act::Gelu)
     }
 
     fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        self.map_into(x, sigmoid_f)
+        self.act_into(x, Act::Sigmoid)
     }
 
     fn tanh(&mut self, x: NodeId) -> NodeId {
-        self.map_into(x, f32::tanh)
+        self.act_into(x, Act::Tanh)
     }
 
     fn softmax_rows(&mut self, x: NodeId) -> NodeId {

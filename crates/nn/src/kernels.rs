@@ -20,6 +20,12 @@
 //! ranges on the persistent [`KernelPool`]; a row is always computed
 //! entirely by one thread, so thread count cannot affect values.
 //!
+//! The one place a sum is *not* a single ascending chain is the softmax
+//! denominator, whose 8-lane order is fixed by definition in
+//! [`crate::elementary`] — the module that also defines the `exp` and
+//! `tanh` under every activation, each with a scalar and an AVX2 body
+//! that agree bit for bit. No kernel here calls libm.
+//!
 //! # The serving micro-kernel
 //!
 //! The packed linears and both attention products run through one
@@ -41,9 +47,9 @@
 //! transpose-free [`matmul_bt_into_mt`] runs 8 independent dot-product
 //! chains per output row.
 
+use crate::elementary::{self, gelu_f, relu_f, sigmoid_f, tanh_f};
 use crate::matrix::Matrix;
 use crate::pool::KernelPool;
-use crate::tape::{gelu_f, sigmoid_f};
 use std::cell::RefCell;
 
 /// Output-lane width of the vectorized kernels. Accumulators are
@@ -56,8 +62,8 @@ pub const LANES: usize = 8;
 pub const PAR_MIN_FLOPS: usize = 1 << 16;
 
 /// Elementwise activation applied by the fused linear kernels. The
-/// scalar functions are the exact ones the composed ops use, so fusing
-/// changes no values.
+/// functions are the exact ones the composed ops use, so fusing changes
+/// no values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Act {
     /// No activation.
@@ -74,15 +80,33 @@ pub enum Act {
 }
 
 impl Act {
-    /// Applies the activation to one value.
+    /// Applies the activation to one value — the scalar definition
+    /// [`Act::apply_slice`] is tested against.
     #[inline]
     pub fn apply(self, v: f32) -> f32 {
         match self {
             Act::Ident => v,
-            Act::Relu => v.max(0.0),
+            Act::Relu => relu_f(v),
             Act::Gelu => gelu_f(v),
             Act::Sigmoid => sigmoid_f(v),
-            Act::Tanh => v.tanh(),
+            Act::Tanh => tanh_f(v),
+        }
+    }
+
+    /// Applies the activation to every element of `xs` in place, 8 lanes
+    /// at a time where the CPU allows; bit-identical to [`Act::apply`]
+    /// per element.
+    pub fn apply_slice(self, xs: &mut [f32]) {
+        self.apply_slice_with(Isa::detect(), xs)
+    }
+
+    fn apply_slice_with(self, isa: Isa, xs: &mut [f32]) {
+        match self {
+            Act::Ident => {}
+            Act::Relu => xs.iter_mut().for_each(|v| *v = relu_f(*v)),
+            Act::Gelu => elementary::gelu_slice(isa, xs),
+            Act::Sigmoid => elementary::sigmoid_slice(isa, xs),
+            Act::Tanh => elementary::tanh_slice(isa, xs),
         }
     }
 }
@@ -110,6 +134,15 @@ impl RowsOut {
     #[allow(clippy::mut_from_ref)]
     unsafe fn row(&self, r: usize) -> &mut [f32] {
         std::slice::from_raw_parts_mut(self.ptr.add(r * self.cols), self.cols)
+    }
+
+    /// Rows `[r0, r1)` as one contiguous slice.
+    ///
+    /// # Safety
+    /// The range must be in bounds and no other thread may hold its rows.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn rows(&self, r0: usize, r1: usize) -> &mut [f32] {
+        std::slice::from_raw_parts_mut(self.ptr.add(r0 * self.cols), (r1 - r0) * self.cols)
     }
 
     /// Pointer to element `(r, c)`, for a writer that owns a column
@@ -395,10 +428,11 @@ const MR: usize = 4;
 /// Packed panels ([`LANES`] columns each) per register tile.
 const NP: usize = 2;
 
-/// Which tile body the driver runs. Only tests name a variant; every
+/// Which body a kernel runs — the GEMM tile here, the elementary
+/// functions in [`crate::elementary`]. Only tests name a variant; every
 /// serving call takes [`Isa::detect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+pub(crate) enum Isa {
     /// `[f32; 8]` lane loops — every target, and the test oracle.
     Portable,
     /// Explicit 256-bit intrinsics, multiply then add.
@@ -409,12 +443,26 @@ enum Isa {
 impl Isa {
     /// The fastest body this CPU runs. `std` caches the CPUID answer, so
     /// asking per kernel call is one atomic load.
-    fn detect() -> Isa {
+    pub(crate) fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             return Isa::Avx2;
         }
         Isa::Portable
+    }
+
+    /// Every body this host can run: the portable one always, the AVX2
+    /// one where the CPU has it. Says so when it does not, so a test run
+    /// that compared nothing against the intrinsics is visible.
+    #[cfg(test)]
+    pub(crate) fn bodies() -> Vec<Isa> {
+        let mut bodies = vec![Isa::Portable];
+        if Isa::detect() == Isa::Portable {
+            eprintln!("no AVX2 on this host: the AVX2 bodies were compared against nothing");
+        } else {
+            bodies.push(Isa::detect());
+        }
+        bodies
     }
 }
 
@@ -572,8 +620,8 @@ unsafe fn gemm(isa: Isa, g: &Gemm, r0: usize, r1: usize) {
     }
 }
 
-/// The one place AVX2 code generation is switched on — `avx2` alone, so
-/// no FMA instruction can be selected.
+/// Where AVX2 code generation is switched on for the tile — `avx2`
+/// alone, so no FMA instruction can be selected.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_rows_avx2(g: &Gemm, r0: usize, r1: usize) {
@@ -682,18 +730,11 @@ fn matmul_packed_with(
         // SAFETY: `out` is `[a.rows, n]` and rows in [r0, r1) belong
         // exclusively to this range.
         unsafe { gemm(isa, &g, r0, r1) };
-        // The activation is a second pass over the finished rows, outside
-        // the AVX2 function: libm calls from inside it pay a `vzeroupper`
-        // each (DESIGN §8). Same value sequence as the composed ops:
-        // `act(acc + bias)`.
-        if act != Act::Ident {
-            for i in r0..r1 {
-                // SAFETY: as above.
-                for v in unsafe { mo.row(i) } {
-                    *v = act.apply(*v);
-                }
-            }
-        }
+        // The activation is a second pass, one slice-kernel call over the
+        // finished (contiguous) rows. Same value sequence as the composed
+        // ops: `act(acc + bias)`.
+        // SAFETY: as above.
+        act.apply_slice_with(isa, unsafe { mo.rows(r0, r1) });
     });
 }
 
@@ -750,9 +791,9 @@ fn pack_panels_transposed(src: &[f32], ld: usize, rows: usize, k: usize, dst: &m
 /// context rows are written straight into the head-merged output.
 ///
 /// Bit-identity: every score is one ascending-`c` accumulator chain
-/// (exactly [`matmul_bt_into_mt`] on the sliced block), the scaled
-/// softmax materializes `score · scale` per element before
-/// [`softmax_row`] (exactly [`softmax_rows_scaled_into`]), and every
+/// (exactly [`matmul_bt_into_mt`] on the sliced block), each score row
+/// goes through [`elementary::softmax_row`] with `scale` (exactly
+/// [`softmax_rows_scaled_into`]), and every
 /// output element accumulates `attn[i,j] · v[j,c]` in ascending-`j`
 /// order (exactly [`matmul_into_mt`] on the sliced block) — so the
 /// result matches the composed ops byte for byte.
@@ -848,10 +889,7 @@ fn attn_blocks_with(
                     // SAFETY: `scores` is this thread's `[ql, kl]` buffer.
                     unsafe { gemm(isa, &qk, 0, ql) };
                     for row in scores.chunks_exact_mut(kl) {
-                        for x in row.iter_mut() {
-                            *x *= scale;
-                        }
-                        softmax_row(row);
+                        elementary::softmax_row(isa, row, scale);
                     }
                 }
                 // SAFETY: (qoff, c0) is inside `out`; the `[ql, dh]`
@@ -868,21 +906,13 @@ fn attn_blocks_with(
 
 // ---- fused row kernels -----------------------------------------------------
 
-/// Numerically-stabilized softmax of one row, in place. Shared by
-/// [`Matrix::softmax_rows_inplace`] and the fused scaled variant so all
-/// softmax paths produce identical values.
+/// Numerically-stabilized softmax of one row, in place:
+/// [`elementary::softmax_row`] at scale 1, the kernel the fused scaled
+/// variant and attention also run, so all softmax paths produce identical
+/// values.
 #[inline]
 pub(crate) fn softmax_row(row: &mut [f32]) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
+    elementary::softmax_row(Isa::detect(), row, 1.0)
 }
 
 /// Layer normalization of one row (no affine), in place. Shared by
@@ -907,12 +937,11 @@ pub(crate) fn layer_norm_row(row: &mut [f32], eps: f32) {
 /// Panics when `out` is not shaped like `x`.
 pub fn softmax_rows_scaled_into(x: &Matrix, alpha: f32, out: &mut Matrix) {
     assert_eq!(out.shape(), x.shape(), "softmax_rows_scaled output shape");
+    let isa = Isa::detect();
     for r in 0..x.rows() {
         let dst = out.row_slice_mut(r);
-        for (o, &v) in dst.iter_mut().zip(x.row_slice(r)) {
-            *o = v * alpha;
-        }
-        softmax_row(dst);
+        dst.copy_from_slice(x.row_slice(r));
+        elementary::softmax_row(isa, dst, alpha);
     }
 }
 
@@ -1024,6 +1053,22 @@ mod tests {
     }
 
     #[test]
+    fn relu_keeps_nan_through_the_fused_linear() {
+        // `f32::max(NaN, 0.0)` is 0.0: a NaN pre-activation used to leave
+        // the layer as a zero and the non-finite sentinel never saw it.
+        assert!(Act::Relu.apply(f32::NAN).is_nan());
+        assert_eq!(Act::Relu.apply(-2.0), 0.0);
+        assert_eq!(Act::Relu.apply(3.0), 3.0);
+        let a = Matrix::from_vec(1, 2, vec![f32::NAN, 1.0]);
+        let pb = PackedB::pack(&Matrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, 0.0, 1.0, -3.0]));
+        for isa in Isa::bodies() {
+            let mut out = Matrix::zeros(1, 3);
+            matmul_packed_with(isa, &a, &pb, None, Act::Relu, 1, &mut out);
+            assert!(out.as_slice().iter().all(|v| v.is_nan()), "{isa:?}: {:?}", out.as_slice());
+        }
+    }
+
+    #[test]
     fn fused_row_kernels_match_composed_ops_bitwise() {
         let x = wavy(5, 13, 0.4);
         let alpha = 0.35f32;
@@ -1048,18 +1093,6 @@ mod tests {
         assert_eq!(ln.as_slice(), want.as_slice());
     }
 
-    /// Every tile body this host can run: the portable one always, the
-    /// AVX2 one where the CPU has it. Says so when it does not, so a run
-    /// that compared nothing against the intrinsics is visible.
-    fn tile_bodies() -> Vec<Isa> {
-        let mut bodies = vec![Isa::Portable];
-        if Isa::detect() == Isa::Portable {
-            eprintln!("no AVX2 on this host: the AVX2 tile was compared against nothing");
-        } else {
-            bodies.push(Isa::detect());
-        }
-        bodies
-    }
 
     fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
         assert_eq!(got.shape(), want.shape(), "{what}");
@@ -1098,7 +1131,7 @@ mod tests {
                         *v = act.apply(*v + bv);
                     }
                 }
-                for isa in tile_bodies() {
+                for isa in Isa::bodies() {
                     for threads in [1, 2, 3] {
                         let mut got = Matrix::zeros(m, n);
                         matmul_packed_with(isa, &a, &pb, Some(&bias), act, threads, &mut got);
@@ -1106,7 +1139,7 @@ mod tests {
                     }
                 }
             }
-            for isa in tile_bodies() {
+            for isa in Isa::bodies() {
                 let mut got = Matrix::zeros(m, n);
                 matmul_packed_with(isa, &a, &pb, None, Act::Ident, 1, &mut got);
                 assert_same_bits(&got, &plain, &format!("{m}x{k}x{n} no bias {isa:?}"));
@@ -1181,7 +1214,7 @@ mod tests {
             let k = wavy(tk, dim, 1.3);
             let v = wavy(tk, dim, 2.3);
             let want = composed_attention(&q, &k, &v, q_lens, kv_lens, heads, scale);
-            for isa in tile_bodies() {
+            for isa in Isa::bodies() {
                 for threads in [1, 3] {
                     // Poisoned, so an element the kernel skips shows.
                     let mut got = Matrix::full(tq, dim, f32::NAN);

@@ -11,6 +11,9 @@
 //!   fused matmul+bias+activation / scaled-softmax / affine-layer-norm
 //!   row kernels, and row-parallel drivers — all bit-identical to the
 //!   scalar reference order.
+//! * `elementary` (private) — the one polynomial `exp` and one rational
+//!   `tanh` under GELU, sigmoid and softmax: a scalar definition and an
+//!   AVX2 body that agree bit for bit, so no forward path calls libm.
 //! * [`pool`] — the persistent scoped worker pool behind row-parallel
 //!   kernels ([`KernelPool`]), deterministic by construction.
 //! * [`tape`] — reverse-mode automatic differentiation over matrices.
@@ -42,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+mod elementary;
 pub mod exec;
 pub mod guard;
 pub mod kernels;

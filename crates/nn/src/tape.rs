@@ -25,6 +25,8 @@
 //! assert!(store.grad(w).sq_norm() > 0.0);
 //! ```
 
+use crate::elementary::{gelu_grad_f, sigmoid_f};
+use crate::kernels::Act;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 
@@ -203,27 +205,35 @@ impl Tape {
         self.push(v, Op::Scale(x, alpha))
     }
 
+    /// The forward value of an activation node: the slice kernel the
+    /// serving executor runs.
+    fn activated(&self, x: NodeId, act: Act) -> Matrix {
+        let mut v = self.nodes[x.0].value.clone();
+        act.apply_slice(v.as_mut_slice());
+        v
+    }
+
     /// Rectified linear unit.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let v = self.nodes[x.0].value.map(|v| v.max(0.0));
+        let v = self.activated(x, Act::Relu);
         self.push(v, Op::Relu(x))
     }
 
     /// GELU activation (tanh approximation, as BERT uses).
     pub fn gelu(&mut self, x: NodeId) -> NodeId {
-        let v = self.nodes[x.0].value.map(gelu_f);
+        let v = self.activated(x, Act::Gelu);
         self.push(v, Op::Gelu(x))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        let v = self.nodes[x.0].value.map(sigmoid_f);
+        let v = self.activated(x, Act::Sigmoid);
         self.push(v, Op::Sigmoid(x))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: NodeId) -> NodeId {
-        let v = self.nodes[x.0].value.map(f32::tanh);
+        let v = self.activated(x, Act::Tanh);
         self.push(v, Op::Tanh(x))
     }
 
@@ -631,31 +641,6 @@ impl Tape {
             }
         }
     }
-}
-
-#[inline]
-pub(crate) fn sigmoid_f(z: f32) -> f32 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-#[inline]
-pub(crate) fn gelu_f(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-#[inline]
-fn gelu_grad_f(x: f32) -> f32 {
-    let inner = GELU_C * (x + 0.044_715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = GELU_C * (1.0 + 3.0 * 0.044_715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
 #[cfg(test)]
