@@ -6,6 +6,7 @@ use taste_data::corpus::{Corpus, CorpusSpec};
 use taste_data::load::{load_split, LoadedSplit};
 use taste_data::splits::Split;
 use taste_db::LatencyProfile;
+use taste_framework::stages::read_catalog;
 use taste_core::HistogramKind;
 use taste_model::prepare::{self, ModelInput};
 use taste_tokenizer::{normalize, Tokenizer, VocabBuilder};
@@ -126,12 +127,11 @@ pub fn training_inputs_from_split(
     let tables = corpus.split_tables(split);
     let ntypes = corpus.ntypes();
     let mut inputs = Vec::new();
-    for (idx, table) in tables.iter().enumerate() {
-        let tid = taste_core::TableId(idx as u32);
-        let meta = conn.fetch_table_meta(tid)?;
-        let columns = conn.fetch_columns_meta(tid)?;
+    let tids: Vec<_> = (0..tables.len() as u32).map(taste_core::TableId).collect();
+    let catalog = read_catalog(&conn, &tids)?;
+    for (table, (meta, columns)) in tables.iter().zip(&catalog) {
         let all_contents = prepare::select_cells(&table.rows, table.width(), m, n);
-        for chunk in prepare::build_chunks(&meta, &columns, l, with_histograms) {
+        for chunk in prepare::build_chunks(meta, columns, l, with_histograms) {
             let contents = chunk.ordinals.iter().map(|&o| all_contents[o as usize].clone()).collect();
             let labels: Vec<_> = chunk.ordinals.iter().map(|&o| table.labels[o as usize].clone()).collect();
             let targets = labels.iter().map(|ls| ls.to_multi_hot(ntypes)).collect();

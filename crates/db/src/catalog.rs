@@ -7,7 +7,7 @@
 
 use crate::engine::Database;
 use serde::{Deserialize, Serialize};
-use taste_core::{Result, TableId};
+use taste_core::{ColumnMeta, Result, TableId, TableMeta};
 
 /// One row of the `information_schema.columns` view.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,23 +62,28 @@ impl Database {
 
     /// Renders `information_schema.columns` for one table.
     pub fn columns_view(&self, tid: TableId) -> Result<Vec<ColumnsViewRow>> {
-        self.with_table(tid, |t| {
-            t.columns
-                .iter()
-                .enumerate()
-                .map(|(i, c)| ColumnsViewRow {
-                    table_name: t.meta.name.clone(),
-                    column_name: c.name.clone(),
-                    ordinal_position: i as u32 + 1,
-                    data_type: c.raw_type.token().to_owned(),
-                    is_nullable: if c.nullable { "YES".into() } else { "NO".into() },
-                    column_comment: c.comment.clone().unwrap_or_default(),
-                    ndv: c.stats.ndv,
-                    has_histogram: c.histogram.is_some(),
-                })
-                .collect()
-        })
+        self.with_table(tid, |t| columns_view_rows(&t.meta, &t.columns))
     }
+}
+
+/// The `information_schema.columns` rows of one table, from its catalog
+/// entry — whether read for free ([`Database::columns_view`]) or returned
+/// by a charged [`crate::Connection::fetch_catalog`].
+pub fn columns_view_rows(meta: &TableMeta, columns: &[ColumnMeta]) -> Vec<ColumnsViewRow> {
+    columns
+        .iter()
+        .enumerate()
+        .map(|(i, c)| ColumnsViewRow {
+            table_name: meta.name.clone(),
+            column_name: c.name.clone(),
+            ordinal_position: i as u32 + 1,
+            data_type: c.raw_type.token().to_owned(),
+            is_nullable: if c.nullable { "YES".into() } else { "NO".into() },
+            column_comment: c.comment.clone().unwrap_or_default(),
+            ndv: c.stats.ndv,
+            has_histogram: c.histogram.is_some(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

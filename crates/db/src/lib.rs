@@ -37,7 +37,7 @@ pub mod pool;
 pub mod rowcodec;
 pub mod sql;
 
-pub use connection::Connection;
+pub use connection::{CatalogEntry, Connection};
 pub use engine::{Database, ScanMethod};
 pub use faults::{FaultDecision, FaultInjector, FaultProfile, Throttle};
 pub use latency::LatencyProfile;

@@ -9,6 +9,7 @@
 //! ```sql
 //! SELECT * FROM information_schema.tables
 //! SELECT * FROM information_schema.columns WHERE table_name = 'orders'
+//! SELECT * FROM information_schema.columns WHERE table_name IN ('orders', 'users')
 //! SELECT a, b FROM orders LIMIT 50
 //! SELECT * FROM orders ORDER BY RAND(7) LIMIT 20
 //! ANALYZE TABLE orders UPDATE HISTOGRAM WITH 8 BUCKETS
@@ -18,6 +19,7 @@
 //! The result is a [`ResultSet`]: column names plus rows of rendered
 //! values, like a textual MySQL client would show.
 
+use crate::catalog::columns_view_rows;
 use crate::connection::Connection;
 use crate::engine::ScanMethod;
 use taste_core::{HistogramKind, Result, TableId, TasteError};
@@ -124,6 +126,14 @@ impl Parser {
         }
     }
 
+    /// A single-quoted string literal (the lexer keeps the opening quote).
+    fn expect_string(&mut self) -> Result<String> {
+        match self.next() {
+            Some(lit) if lit.starts_with('\'') => Ok(lit[1..].to_owned()),
+            other => Err(TasteError::Database(format!("expected a string literal, found {other:?}"))),
+        }
+    }
+
     fn expect_number(&mut self) -> Result<u64> {
         match self.next() {
             Some(t) => t
@@ -134,12 +144,15 @@ impl Parser {
     }
 }
 
+/// Resolves a table name the way the server does while planning a
+/// statement: against its own catalog, with no query charged. One
+/// statement is one round trip — the one its execution pays.
 fn table_id_by_name(conn: &Connection, name: &str) -> Result<TableId> {
-    let tables = conn.fetch_tables()?;
+    let tables = conn.database().tables.read();
     tables
         .iter()
-        .find(|t| t.name.eq_ignore_ascii_case(name))
-        .map(|t| t.id)
+        .find(|t| t.meta.name.eq_ignore_ascii_case(name))
+        .map(|t| t.meta.id)
         .ok_or_else(|| TasteError::not_found(format!("table '{name}'")))
 }
 
@@ -194,27 +207,43 @@ fn execute_select(conn: &Connection, p: &mut Parser) -> Result<ResultSet> {
             })
         }
         "information_schema.columns" => {
-            // Optional: WHERE table_name = 'x'.
-            let mut filter: Option<String> = None;
+            // Optional: WHERE table_name = 'x' | WHERE table_name IN ('x', 'y').
+            let mut filter: Option<Vec<String>> = None;
             if p.peek() == Some("where") {
                 p.next();
                 p.expect("table_name")?;
-                p.expect("=")?;
-                match p.next() {
-                    Some(lit) if lit.starts_with('\'') => filter = Some(lit[1..].to_owned()),
-                    other => return Err(TasteError::Database(format!("expected a string literal, found {other:?}"))),
-                }
+                let names = match p.next() {
+                    Some("=") => vec![p.expect_string()?],
+                    Some("in") => {
+                        p.expect("(")?;
+                        let mut names = vec![p.expect_string()?];
+                        while p.peek() == Some(",") {
+                            p.next();
+                            names.push(p.expect_string()?);
+                        }
+                        p.expect(")")?;
+                        names
+                    }
+                    other => return Err(TasteError::Database(format!("expected '=' or 'in', found {other:?}"))),
+                };
+                filter = Some(names);
             }
+            if p.peek().is_some() {
+                return Err(TasteError::Database("trailing tokens after the table_name filter".into()));
+            }
+            // Names resolve before anything is paid, so an unknown table
+            // costs nothing; then the statement is one catalog read.
             let tids: Vec<TableId> = match &filter {
-                Some(name) => vec![table_id_by_name(conn, name)?],
+                Some(names) => names.iter().map(|name| table_id_by_name(conn, name)).collect::<Result<_>>()?,
                 None => conn.database().table_ids(),
             };
-            let mut rows = Vec::new();
-            for tid in tids {
-                // Through the connection: pays metadata latency + ledger.
-                let _ = conn.fetch_columns_meta(tid)?;
-                for r in conn.database().columns_view(tid)? {
-                    rows.push(vec![
+            let rows = conn
+                .fetch_catalog(&tids)?
+                .iter()
+                .flatten()
+                .flat_map(|(meta, columns)| columns_view_rows(meta, columns))
+                .map(|r| {
+                    vec![
                         r.table_name,
                         r.column_name,
                         r.ordinal_position.to_string(),
@@ -223,9 +252,9 @@ fn execute_select(conn: &Connection, p: &mut Parser) -> Result<ResultSet> {
                         r.column_comment,
                         r.ndv.map(|v| v.to_string()).unwrap_or_default(),
                         r.has_histogram.to_string(),
-                    ]);
-                }
-            }
+                    ]
+                })
+                .collect();
             Ok(ResultSet {
                 columns: vec![
                     "table_name".into(),
@@ -327,9 +356,14 @@ mod tests {
 
     fn db() -> Arc<Database> {
         let db = Database::new("tenant", LatencyProfile::zero());
+        db.create_table(&table("orders")).unwrap();
+        db
+    }
+
+    fn table(name: &str) -> Table {
         let tid = TableId(0);
-        let table = Table {
-            meta: TableMeta { id: tid, name: "orders".into(), comment: Some("sales".into()), row_count: 6 },
+        Table {
+            meta: TableMeta { id: tid, name: name.into(), comment: Some("sales".into()), row_count: 6 },
             columns: vec![
                 ColumnMeta {
                     id: ColumnId::new(tid, 0),
@@ -352,9 +386,7 @@ mod tests {
             ],
             rows: (0..6).map(|i| vec![Cell::Int(i), Cell::Text(format!("c{i}"))]).collect(),
             labels: vec![LabelSet::empty(), LabelSet::empty()],
-        };
-        db.create_table(&table).unwrap();
-        db
+        }
     }
 
     #[test]
@@ -382,6 +414,39 @@ mod tests {
         assert_eq!(rs.rows[1][4], "YES");
         // The metadata query hit the ledger.
         assert!(db.ledger().snapshot().metadata_queries >= 1);
+    }
+
+    #[test]
+    fn one_columns_statement_is_one_metadata_query() {
+        let db = db();
+        db.create_table(&table("users")).unwrap();
+        let conn = db.connect();
+        let queries = || db.ledger().snapshot().metadata_queries;
+        for (statement, want_rows) in [
+            ("SELECT * FROM information_schema.columns", 4),
+            ("SELECT * FROM information_schema.columns WHERE table_name = 'users'", 2),
+            ("SELECT * FROM information_schema.columns WHERE table_name IN ('users', 'Orders')", 4),
+        ] {
+            let before = queries();
+            let rs = execute(&conn, statement).unwrap();
+            assert_eq!(rs.rows.len(), want_rows, "{statement}");
+            assert_eq!(queries() - before, 1, "one statement, one round trip: {statement}");
+        }
+        // IN lists rows in the order the names were given.
+        let rs = execute(&conn, "SELECT * FROM information_schema.columns WHERE table_name IN ('users', 'orders')")
+            .unwrap();
+        assert_eq!((rs.rows[0][0].as_str(), rs.rows[2][0].as_str()), ("users", "orders"));
+
+        // An unknown name is a not-found with nothing paid.
+        let before = db.ledger().snapshot();
+        for statement in [
+            "SELECT * FROM information_schema.columns WHERE table_name = 'missing'",
+            "SELECT * FROM information_schema.columns WHERE table_name IN ('orders', 'missing')",
+        ] {
+            let err = execute(&conn, statement).unwrap_err();
+            assert!(matches!(err, TasteError::NotFound(_)), "{statement}: {err:?}");
+        }
+        assert_eq!(db.ledger().snapshot(), before, "nothing sent, nothing recorded");
     }
 
     #[test]

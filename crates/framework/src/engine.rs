@@ -15,6 +15,15 @@
 //! content scan (I/O sleep) proceeds while another's inference (CPU)
 //! runs.
 //!
+//! A dispatched `P1Prep` does not travel alone: it takes with it every
+//! other `P1Prep` runnable at that moment, up to a fixed cap of 16 tables,
+//! and the group's catalog rows ride **one** joined `information_schema`
+//! read ([`run_prep1`]) — on a cloud database the round trip, not the
+//! payload, is what a metadata query costs. A group is one TP1 job on one
+//! connection, so the pool limits and the connection budget mean what
+//! they meant; Definition 5.1 orders the stages of one table only, so
+//! nothing in Algorithm 1 changes.
+//!
 //! The two optional policies plug into that loop rather than replacing
 //! it:
 //!
@@ -22,7 +31,8 @@
 //!   admitted up front, both pools may run `pool_size` stages at once,
 //!   and the shed pass, the queue-wait observation and the
 //!   connection-budget follow-up are skipped. With one, tables enter the
-//!   queue as in-flight slots free, the TP1/TP2 limits follow the AIMD
+//!   queue as in-flight slots free — so a catalog group is whatever the
+//!   admission window has promoted — the TP1/TP2 limits follow the AIMD
 //!   governor, and P2 work is shed cheapest-first under pressure.
 //! * **No [`BatchPlanner`]** (`batching.enabled` off): the first
 //!   runnable inference stage goes to a free TP2 worker at once, as a
@@ -39,18 +49,23 @@
 //! pinned model version (a canary table is a group of one), runs one
 //! fused forward pass per group and scatters the verdicts back under
 //! each owner's lock. The result does not depend on the grouping (see
-//! `crates/framework/tests/`).
+//! `crates/framework/tests/`). [`run_prep1`] is the same shape one stage
+//! earlier: gather (a panicking, stalling, cancelled or settled member
+//! finishes its slot alone and contributes no table id), one read under
+//! the retry policy, scatter.
 //!
 //! ```text
-//!   admission ──→ stage queue ──→ TP1 (prep pool)      TP2 (inference pool)
-//!   (all at once,  4 stages      table A ─ P1Prep ─┐   ┌────────────────────────┐
-//!    or as slots   per table,    table B ─ P1Prep ─┼─→ │ P1Infer  [A ++ B ++ C] │
-//!    free)         in order      table C ─ P1Prep ─┘   └───────────┬────────────┘
-//!                                  planner, or a batch of one      ↓ scatter
-//!                                table A ─ P2Prep ─┐   ┌────────────────────────┐
-//!                                table C ─ P2Prep ─┼─→ │ P2Infer  [A ++ C]      │
-//!                                  (B shed: leaves ┘   └───────────┬────────────┘
-//!                                   the queue)                     ↓ per-table verdicts
+//!   admission ──→ stage queue ──→ TP1 (prep pool)             TP2 (inference pool)
+//!   (all at once,  4 stages      ┌──────────────────────┐
+//!    or as slots   per table,    │ P1Prep [A, B, C]     │     ┌────────────────────────┐
+//!    free)         in order      │  one catalog read,   │ ──→ │ P1Infer  [A ++ B ++ C] │
+//!                                │  ≤ 16 tables         │     └───────────┬────────────┘
+//!                                └──────────────────────┘                 ↓ scatter
+//!                                  planner, or a batch of one
+//!                                table A ─ P2Prep (scan) ─┐   ┌────────────────────────┐
+//!                                table C ─ P2Prep (scan) ─┼─→ │ P2Infer  [A ++ C]      │
+//!                                  (B shed: leaves the    ┘   └───────────┬────────────┘
+//!                                   queue)                                ↓ per-table verdicts
 //! ```
 //!
 //! Every database stage runs under the retry policy of
@@ -58,7 +73,10 @@
 //! per-database circuit breaker, and — with `retry.degrade` on — a table
 //! whose P2 content scan exhausts its budget falls back to its P1
 //! metadata-only verdicts instead of failing the batch (a table whose P1
-//! fails is reported as failed with empty verdicts). Either way a failing
+//! fails is reported as failed with empty verdicts — and a catalog read
+//! that exhausts its budget fails every table of its group that way, its
+//! retries charged to the group's first member so that the per-table
+//! retries still add up to the ledger's). Either way a failing
 //! table can never wedge a pool worker or lose its slot in the report. A
 //! stage error that does fail the batch is recorded on its table, whose
 //! remaining stages become no-ops; every other table still runs to
@@ -92,8 +110,8 @@ use crate::report::{BatchingSummary, DetectionReport, OverloadSummary, Resilienc
 use crate::retry::{acquire_with_retry, connect_with_retry, run_with_retry, CircuitBreaker};
 use crate::rollout::{CanaryObservation, Pinned, RolloutController};
 use crate::stages::{
-    infer_phase1, infer_phase2, prep_phase1, prep_phase2, shed_finals, P1Infer, P1Item, P1Prep,
-    P2Item, P2Prep,
+    catalog_group_cap, infer_phase1, infer_phase2, prep_phase1, prep_phase2, shed_finals,
+    table_not_found, P1Infer, P1Item, P1Prep, P2Item, P2Prep,
 };
 use crate::watchdog::{CancelReason, CancelToken, StageClocks, TableDeadlines, Wakeup, Watchdog};
 use crossbeam::channel::{unbounded, Sender};
@@ -474,7 +492,9 @@ impl TasteEngine {
     }
 
     /// Sequential mode (*TASTE w/o pipelining*): one connection, tables
-    /// processed one after another, stages in order.
+    /// processed one after another, stages in order — except that the
+    /// catalog rows of up to 16 tables at a time ride one read, as they do
+    /// in pipelined mode.
     fn run_sequential(
         &self,
         db: &Arc<Database>,
@@ -484,12 +504,16 @@ impl TasteEngine {
         let states = self.new_states(tables);
         let conn = connect_with_retry(db, &self.config.retry)?;
         let mut inf = self.config.execution.inferencer();
-        for (t, state) in states.iter().enumerate() {
-            for stage in StageKind::ORDER {
-                match stage.phase() {
-                    None => run_stage(stage, t, state, Some(&conn), ctx),
-                    Some(phase) => run_infer(phase, &[(t, Arc::clone(state))], ctx, &mut inf),
-                }
+        let members: Vec<(usize, Shared)> = states.iter().cloned().enumerate().collect();
+        // The catalog is read in the same groups the scheduler forms, so
+        // the two modes differ in overlap only; then each table of the
+        // group walks its remaining three stages.
+        for group in members.chunks(catalog_group_cap()) {
+            run_prep1(group, Some(&conn), ctx);
+            for member in group {
+                run_infer(BatchPhase::P1, std::slice::from_ref(member), ctx, &mut inf);
+                run_prep2(member.0, &member.1, Some(&conn), ctx);
+                run_infer(BatchPhase::P2, std::slice::from_ref(member), ctx, &mut inf);
             }
         }
         Ok(states)
@@ -567,7 +591,8 @@ impl TasteEngine {
     }
 }
 
-/// A TP1 job: one prep stage, run on whatever connection the worker has.
+/// A TP1 job: one table's P2Prep or a group's P1Prep, run on whatever
+/// connection the worker has.
 type PrepJob = Box<dyn FnOnce(Option<&Connection>) + Send>;
 /// A TP2 job: one [`run_infer`] call on the worker's inferencer.
 type InferJob = Box<dyn FnOnce(&mut Inferencer) + Send>;
@@ -576,6 +601,7 @@ type InferJob = Box<dyn FnOnce(&mut Inferencer) + Send>;
 /// first time the stage is seen *runnable* (all earlier stages of its
 /// table done); dispatch delay from that moment is the standing-queue
 /// signal fed to the overload controller.
+#[derive(Clone, Copy)]
 struct PendingStage {
     t: usize,
     stage: StageKind,
@@ -673,17 +699,37 @@ fn schedule(
         let mut dispatched = false;
         if tp1_active.load(Ordering::SeqCst) < tp1_limit {
             if let Some(pos) = queue.iter().position(|e| e.stage.phase().is_none() && e.since.is_some()) {
-                let PendingStage { t, stage, since } = queue.remove(pos);
+                // The first runnable prep stage goes to a free TP1 worker.
+                // A P1Prep takes along every other P1Prep runnable right
+                // now, up to the cap: one job, one connection, one
+                // catalog round trip for the group.
+                let head = queue[pos].stage;
+                let cap = if head == StageKind::P1Prep { catalog_group_cap() } else { 1 };
+                let mut group: Vec<PendingStage> = Vec::with_capacity(cap);
+                queue.retain(|e| {
+                    let take = group.len() < cap && e.stage == head && e.since.is_some();
+                    if take {
+                        group.push(*e);
+                    }
+                    !take
+                });
                 if let Some(ctrl) = ctrl {
                     // The standing-queue signal is measured on the prep
                     // (TP1) queue only: that is where cloud-RDS contention
                     // manifests, and inference dispatches draining quickly
                     // must not mask a congested database.
-                    ctrl.observe_queue_wait(since.map_or(Duration::ZERO, |s| now.duration_since(s)), now);
+                    for e in &group {
+                        ctrl.observe_queue_wait(e.since.map_or(Duration::ZERO, |s| now.duration_since(s)), now);
+                    }
                 }
                 tp1_active.fetch_add(1, Ordering::SeqCst);
-                let (state, ctx) = (Arc::clone(&states[t]), Arc::clone(ctx));
-                let job: PrepJob = Box::new(move |conn| run_stage(stage, t, &state, conn, &ctx));
+                let members: Vec<(usize, Shared)> =
+                    group.iter().map(|e| (e.t, Arc::clone(&states[e.t]))).collect();
+                let ctx = Arc::clone(ctx);
+                let job: PrepJob = match head {
+                    StageKind::P1Prep => Box::new(move |conn| run_prep1(&members, conn, &ctx)),
+                    _ => Box::new(move |conn| members.iter().for_each(|(t, state)| run_prep2(*t, state, conn, &ctx))),
+                };
                 prep_tx.send(job).expect("workers outlive the scheduler loop");
                 dispatched = true;
             }
@@ -1179,12 +1225,157 @@ fn guarded<T>(
     carried
 }
 
-/// Executes one prep stage against the shared state, on the worker's
-/// connection, and advances the table's stage counter.
-fn run_stage(stage: StageKind, t: usize, state: &Shared, conn: Option<&Connection>, ctx: &BatchCtx) {
+/// Executes the P1Prep stage for every member of a group — the tables
+/// whose catalog rows ride one round trip; a table served alone is a
+/// group of one, in sequential mode too: the one P1Prep executor, shaped
+/// like [`run_infer`].
+///
+/// *Gather*: each member runs its share of the stage under its own lock,
+/// stage clock and cancel token, inside the [`guarded`] envelope — the
+/// injected fault, and the settlement of a worker without a connection. A
+/// member that is settled, cancelled, or that panics or stalls right
+/// there finishes its stage slot alone and never contributes a table id
+/// to the read. *Run*: one [`prep_phase1`] over the live members' ids,
+/// under the retry policy and the batch's shared breaker — one query, so
+/// one set of [`crate::retry::RetryStats`], which the group's first
+/// member absorbs: Σ per-table retries still equals the ledger's retried
+/// queries. *Scatter*: each member's token is re-checked (a table
+/// cancelled while the read was in flight reports its hazard, not a prep
+/// result), then its chunks go back under its lock; a table the catalog
+/// does not hold fails alone with its not-found error, and a read that
+/// exhausted its budget settles every member exactly as a solo failure
+/// would — `degrade` marks each failed, otherwise each carries the batch
+/// error. A panic inside a multi-member read stored nothing, so its
+/// members are re-run one by one and only the culprit is lost.
+fn run_prep1(members: &[(usize, Shared)], conn: Option<&Connection>, ctx: &BatchCtx) {
+    let stage = StageKind::P1Prep;
+    let cfg = &ctx.cfg;
+    let mut live: Vec<(usize, &Shared, TableId)> = Vec::with_capacity(members.len());
+    for (t, state) in members {
+        let gathered = guarded(stage, *t, &mut state.0.lock(), ctx, |st| {
+            inject_faults(stage, st.tid, cfg, &ctx.tokens[*t], &ctx.wake)?;
+            if conn.is_some() {
+                return Ok(Some(st.tid));
+            }
+            // The worker never got a connection. Without P1 metadata
+            // there is nothing to fall back to: mark the table failed
+            // (degrade mode) or fail the batch.
+            if cfg.retry.degrade {
+                st.resilience.failed = true;
+                return Ok(None);
+            }
+            Err(TasteError::Scheduler("prep without connection".into()))
+        });
+        match gathered {
+            Some(tid) => live.push((*t, state, tid)),
+            None => advance_stage(*t, state, ctx),
+        }
+    }
+    let Some(conn) = conn else { return };
+
+    let mut work = VecDeque::from([live]);
+    while let Some(group) = work.pop_front() {
+        if group.is_empty() {
+            continue;
+        }
+        let tids: Vec<TableId> = group.iter().map(|&(_, _, tid)| tid).collect();
+        group.iter().for_each(|&(t, ..)| ctx.clocks.start(t));
+        let started = Instant::now();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_with_retry(&cfg.retry, &ctx.breaker, conn, "prep_phase1", |c| prep_phase1(c, &tids, cfg))
+        }));
+        // Per-member service is the read's share, as in `run_infer`.
+        let service = started.elapsed() / group.len() as u32;
+        group.iter().for_each(|&(t, ..)| ctx.clocks.finish(t));
+        let observe = |failed: bool| {
+            if let Some(ctrl) = &ctx.controller {
+                ctrl.observe_stage(service, failed, false, Instant::now());
+            }
+        };
+        let (preps, failure, stats) = match caught {
+            Ok((Ok(preps), stats)) => (preps, None, stats),
+            Ok((Err(failure), stats)) => (Vec::new(), Some(failure), stats),
+            Err(payload) if group.len() == 1 => {
+                let (t, state, _) = group[0];
+                record_hazard(&mut state.0.lock(), panicked(stage, payload.as_ref()), ctx);
+                observe(true);
+                advance_stage(t, state, ctx);
+                continue;
+            }
+            Err(_) => {
+                work.extend(group.into_iter().map(|m| vec![m]));
+                continue;
+            }
+        };
+        let mut preps = preps.into_iter();
+        for (i, &(t, state, tid)) in group.iter().enumerate() {
+            let failed = {
+                let mut st = state.0.lock();
+                if i == 0 {
+                    st.resilience.absorb(&stats);
+                }
+                match (ctx.tokens[t].reason(), &failure, preps.next().flatten()) {
+                    (Some(reason), ..) => record_hazard(&mut st, hazard_from_cancel(reason, stage), ctx),
+                    (None, None, Some(prep)) => st.prep1 = Some(Arc::new(prep)),
+                    (None, None, None) => st.error = Some(table_not_found(tid)),
+                    (None, Some(f), _) if f.retryable && cfg.retry.degrade => st.resilience.failed = true,
+                    (None, Some(f), _) => st.error = Some(f.error.clone()),
+                }
+                st.error.is_some()
+                    || st.resilience.failed
+                    || matches!(st.outcome, Some(TableOutcome::TimedOut { .. }))
+            };
+            observe(failed);
+            advance_stage(t, state, ctx);
+        }
+    }
+}
+
+/// Executes one table's P2Prep stage — the content scan of its uncertain
+/// columns — on the worker's connection, and advances the table's stage
+/// counter.
+fn run_prep2(t: usize, state: &Shared, conn: Option<&Connection>, ctx: &BatchCtx) {
+    let stage = StageKind::P2Prep;
+    let cfg = &ctx.cfg;
+    let token = &ctx.tokens[t];
     // A prep stage completes under the lock: nothing is carried out of it.
-    let _: Option<()> =
-        guarded(stage, t, &mut state.0.lock(), ctx, |st| execute(stage, st, conn, &ctx.tokens[t], ctx).map(|()| None));
+    let _: Option<()> = guarded(stage, t, &mut state.0.lock(), ctx, |st| {
+        inject_faults(stage, st.tid, cfg, token, &ctx.wake)?;
+        if st.resilience.failed {
+            return Ok(None);
+        }
+        let tid = st.tid;
+        let uncertain = st
+            .infer1
+            .as_ref()
+            .ok_or_else(|| TasteError::Scheduler("P2Prep before P1Infer".into()))?
+            .uncertain
+            .clone();
+        let prep1 = st.prep1.as_ref().ok_or_else(|| TasteError::Scheduler("P2Prep before P1Prep".into()))?;
+        let degrade = |st: &mut TableState| {
+            st.resilience.degraded = true;
+            st.resilience.degraded_columns += uncertain.len();
+        };
+        let Some(conn) = conn else {
+            // Lost connection: P1 verdicts survive, so degrade.
+            if cfg.retry.degrade {
+                degrade(st);
+                return Ok(None);
+            }
+            return Err(TasteError::Scheduler("prep without connection".into()));
+        };
+        let (res, stats) = run_with_retry(&cfg.retry, &ctx.breaker, conn, "prep_phase2", |c| {
+            prep_phase2(c, tid, prep1, &uncertain, cfg, token)
+        });
+        st.resilience.absorb(&stats);
+        match res {
+            Ok(p) => st.prep2 = Some(Arc::new(p)),
+            Err(f) if matches!(f.error, TasteError::Cancelled(_)) => return Err(f.error),
+            Err(f) if f.retryable && cfg.retry.degrade => degrade(st),
+            Err(f) => return Err(f.error),
+        }
+        Ok(None)
+    });
     advance_stage(t, state, ctx);
 }
 
@@ -1322,77 +1513,6 @@ fn pinned_model(ctx: &BatchCtx, st: &mut TableState) -> Pinned {
         });
     }
     st.pinned.clone().expect("pinned just above")
-}
-
-/// The body of the two prep stages (the inference stages are
-/// [`run_infer`]'s).
-fn execute(
-    stage: StageKind,
-    st: &mut TableState,
-    conn: Option<&Connection>,
-    token: &CancelToken,
-    ctx: &BatchCtx,
-) -> Result<()> {
-    let cfg = &ctx.cfg;
-    let breaker = &ctx.breaker;
-    inject_faults(stage, st.tid, cfg, token, &ctx.wake)?;
-    if stage == StageKind::P1Prep {
-        let Some(conn) = conn else {
-            // The worker never got a connection. Without P1
-            // metadata there is nothing to fall back to: mark the
-            // table failed (degrade mode) or fail the batch.
-            if cfg.retry.degrade {
-                st.resilience.failed = true;
-                return Ok(());
-            }
-            return Err(TasteError::Scheduler("prep without connection".into()));
-        };
-        let tid = st.tid;
-        let (res, stats) =
-            run_with_retry(&cfg.retry, breaker, conn, "prep_phase1", |c| prep_phase1(c, tid, cfg));
-        st.resilience.absorb(&stats);
-        match res {
-            Ok(p) => st.prep1 = Some(Arc::new(p)),
-            Err(f) if f.retryable && cfg.retry.degrade => st.resilience.failed = true,
-            Err(f) => return Err(f.error),
-        }
-        return Ok(());
-    }
-    debug_assert_eq!(stage, StageKind::P2Prep, "inference stages run in run_infer");
-    if st.resilience.failed {
-        return Ok(());
-    }
-    let tid = st.tid;
-    let uncertain = st
-        .infer1
-        .as_ref()
-        .ok_or_else(|| TasteError::Scheduler("P2Prep before P1Infer".into()))?
-        .uncertain
-        .clone();
-    let prep1 = st.prep1.as_ref().ok_or_else(|| TasteError::Scheduler("P2Prep before P1Prep".into()))?;
-    let Some(conn) = conn else {
-        // Lost connection: P1 verdicts survive, so degrade.
-        if cfg.retry.degrade {
-            st.resilience.degraded = true;
-            st.resilience.degraded_columns += uncertain.len();
-            return Ok(());
-        }
-        return Err(TasteError::Scheduler("prep without connection".into()));
-    };
-    let (res, stats) = run_with_retry(&cfg.retry, breaker, conn, "prep_phase2", |c| {
-        prep_phase2(c, tid, prep1, &uncertain, cfg, token)
-    });
-    st.resilience.absorb(&stats);
-    match res {
-        Ok(p) => st.prep2 = Some(Arc::new(p)),
-        Err(f) if matches!(f.error, TasteError::Cancelled(_)) => return Err(f.error),
-        Err(f) if f.retryable && cfg.retry.degrade => {
-            st.resilience.degraded = true;
-            st.resilience.degraded_columns += uncertain.len();
-        }
-        Err(f) => return Err(f.error),
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1784,9 +1904,8 @@ mod tests {
         };
         let states = eng.new_states(&ids);
         let conn = db.connect();
-        for (t, state) in states.iter().enumerate() {
-            run_stage(StageKind::P1Prep, t, state, Some(&conn), &ctx);
-        }
+        let members: Vec<(usize, Shared)> = states.iter().cloned().enumerate().collect();
+        run_prep1(&members, Some(&conn), &ctx);
         {
             let mut st = states[1].0.lock();
             let good = st.prep1.take().unwrap();
@@ -1794,7 +1913,6 @@ mod tests {
             chunks[0].nonmeta.pop();
             st.prep1 = Some(Arc::new(P1Prep { chunks, ncols: good.ncols }));
         }
-        let members: Vec<(usize, Shared)> = states.iter().cloned().enumerate().collect();
         run_infer(BatchPhase::P1, &members, &ctx, &mut cfg.execution.inferencer());
 
         for (t, state) in states.iter().enumerate() {

@@ -12,6 +12,7 @@
 
 use crate::custom_types::Validator;
 use crate::report::{DetectionReport, TableResult};
+use crate::stages::read_catalog;
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use taste_core::{LabelSet, Result, TableId, TypeRegistry};
@@ -123,9 +124,9 @@ impl RuleBaseline {
         let conn = db.connect();
         let mut results = Vec::with_capacity(tables.len());
         let mut total_columns = 0u64;
-        for &tid in tables {
+        let catalog = read_catalog(&conn, tables)?;
+        for (&tid, (_, columns)) in tables.iter().zip(&catalog) {
             let t_table = std::time::Instant::now();
-            let columns = conn.fetch_columns_meta(tid)?;
             let ncols = columns.len();
             total_columns += ncols as u64;
             let ordinals: Vec<u16> = (0..ncols as u16).collect();

@@ -8,11 +8,11 @@
 use crate::config::TasteConfig;
 use crate::watchdog::CancelToken;
 use std::sync::Arc;
-use taste_core::{LabelSet, Result, TableId, TypeId};
+use taste_core::{LabelSet, Result, TableId, TasteError, TypeId};
 use taste_model::cache::CacheKey;
 use taste_model::prepare::{build_chunks, TableChunk};
 use taste_model::{Adtd, ContentBatchItem, Inferencer, LatentCache, MetaEncoding};
-use taste_db::Connection;
+use taste_db::{CatalogEntry, Connection};
 use taste_tokenizer::ColumnContent;
 
 /// Output of the Phase 1 data-preparation stage.
@@ -52,14 +52,69 @@ pub struct P2Prep {
     pub contents: Vec<Vec<Option<ColumnContent>>>,
 }
 
-/// P1-S1: fetch table + column metadata through the connection and build
-/// model chunks.
-pub fn prep_phase1(conn: &Connection, tid: TableId, cfg: &TasteConfig) -> Result<P1Prep> {
-    let meta = conn.fetch_table_meta(tid)?;
-    let columns = conn.fetch_columns_meta(tid)?;
-    let ncols = columns.len();
-    let chunks = build_chunks(&meta, &columns, cfg.l, cfg.use_histograms);
-    Ok(P1Prep { chunks, ncols })
+/// Most tables one catalog read covers. At 16 the amortised round trip
+/// per table (0.125 ms under `LatencyProfile::cloud()`) is already below
+/// a two-column table's own payload (0.18 ms), while the read that delays
+/// a batch's first P1 inference is still ≈ 6 ms — see DESIGN, "Cloud
+/// path". A constant, not a knob: nobody should have to tune it.
+const CATALOG_GROUP_CAP: usize = 16;
+
+thread_local! {
+    static GROUP_CAP_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// The catalog group cap in force on the calling thread — the one that
+/// forms the groups: the scheduler loop, or a sequential caller.
+pub(crate) fn catalog_group_cap() -> usize {
+    GROUP_CAP_OVERRIDE.get().unwrap_or(CATALOG_GROUP_CAP)
+}
+
+/// Test-only hook: runs `f` with catalog groups formed on this thread
+/// capped at `cap` tables instead of the constant, so a suite can pin
+/// that verdicts do not depend on the grouping.
+#[doc(hidden)]
+pub fn with_catalog_group_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
+    let prev = GROUP_CAP_OVERRIDE.replace(Some(cap.max(1)));
+    let out = f();
+    GROUP_CAP_OVERRIDE.set(prev);
+    out
+}
+
+/// The catalog entries of `tables`, in order, read in groups of at most
+/// the group cap — one round trip per group. For the callers that walk
+/// tables one after another (baselines, rules, dataset builders) and so
+/// pay the same catalog cost as the engine. A table the catalog does not
+/// hold is a not-found error.
+pub fn read_catalog(conn: &Connection, tables: &[TableId]) -> Result<Vec<CatalogEntry>> {
+    let mut out = Vec::with_capacity(tables.len());
+    for group in tables.chunks(catalog_group_cap()) {
+        for (row, tid) in conn.fetch_catalog(group)?.into_iter().zip(group) {
+            out.push(row.ok_or_else(|| table_not_found(*tid))?);
+        }
+    }
+    Ok(out)
+}
+
+/// The error a table id missing from the catalog fails with.
+pub(crate) fn table_not_found(tid: TableId) -> TasteError {
+    TasteError::not_found(format!("table {}", tid.0))
+}
+
+/// P1-S1 for a group of tables: one joined catalog read through the
+/// connection, then each table's model chunks. One slot per input table,
+/// in order; `None` for a table the catalog does not hold. An error is
+/// the read's — it failed for the whole group.
+pub fn prep_phase1(conn: &Connection, tables: &[TableId], cfg: &TasteConfig) -> Result<Vec<Option<P1Prep>>> {
+    let rows = conn.fetch_catalog(tables)?;
+    Ok(rows
+        .into_iter()
+        .map(|row| {
+            row.map(|(meta, columns)| P1Prep {
+                chunks: build_chunks(&meta, &columns, cfg.l, cfg.use_histograms),
+                ncols: columns.len(),
+            })
+        })
+        .collect())
 }
 
 /// P2-S1: scan the uncertain columns' content (only theirs — columns in
@@ -89,6 +144,15 @@ pub fn prep_phase2(
     ordinals.dedup();
     cancel.check("prep_phase2 scan")?;
     let rows = conn.scan_columns(tid, &ordinals, cfg.scan_method())?;
+    // Where each scanned column's content goes: ordinal → (chunk, slot).
+    let mut slots: Vec<Option<(usize, usize)>> = vec![None; prep1.ncols];
+    for (chunk_idx, chunk) in prep1.chunks.iter().enumerate() {
+        for (j, &o) in chunk.ordinals.iter().enumerate() {
+            if let Some(slot) = slots.get_mut(o as usize) {
+                slot.get_or_insert((chunk_idx, j));
+            }
+        }
+    }
     // rows are projected in ascending-ordinal order.
     let mut selected: Vec<ColumnContent> = vec![ColumnContent::default(); ordinals.len()];
     for row in &rows {
@@ -100,15 +164,9 @@ pub fn prep_phase2(
             }
         }
     }
-    // Route each scanned column's content to its chunk slot.
-    for (k, &ordinal) in ordinals.iter().enumerate() {
-        'outer: for (chunk_idx, chunk) in prep1.chunks.iter().enumerate() {
-            for (j, &o) in chunk.ordinals.iter().enumerate() {
-                if o == ordinal {
-                    contents[chunk_idx][j] = Some(selected[k].clone());
-                    break 'outer;
-                }
-            }
+    for (ordinal, content) in ordinals.iter().zip(selected) {
+        if let Some(&Some((chunk_idx, j))) = slots.get(*ordinal as usize) {
+            contents[chunk_idx][j] = Some(content);
         }
     }
     Ok(P2Prep { contents })
@@ -325,6 +383,11 @@ mod tests {
         Inferencer::default()
     }
 
+    /// [`prep_phase1`] over one table the catalog holds.
+    fn prep1_one(conn: &Connection, tid: TableId, cfg: &TasteConfig) -> P1Prep {
+        prep_phase1(conn, &[tid], cfg).unwrap().pop().unwrap().expect("table in catalog")
+    }
+
     /// [`infer_phase1`] over one table.
     fn p1_one(
         m: &Adtd,
@@ -450,9 +513,43 @@ mod tests {
         let (db, tid) = db_with_table(5);
         let conn = db.connect();
         let cfg = TasteConfig { l: 2, ..Default::default() };
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         assert_eq!(prep.ncols, 5);
         assert_eq!(prep.chunks.len(), 3);
+    }
+
+    #[test]
+    fn prep_phase1_reads_a_group_in_one_query() {
+        let (db, tids) = db_with_tables(&[2, 5, 3]);
+        let conn = db.connect();
+        let cfg = TasteConfig { l: 2, ..Default::default() };
+        let solo: Vec<P1Prep> = tids.iter().map(|&tid| prep1_one(&conn, tid, &cfg)).collect();
+        let before = db.ledger().snapshot();
+        let group = prep_phase1(&conn, &[tids[0], tids[1], TableId(77), tids[2]], &cfg).unwrap();
+        assert_eq!(db.ledger().snapshot().since(&before).metadata_queries, 1);
+        assert!(group[2].is_none(), "an id the catalog lacks costs its neighbours nothing");
+        for (got, want) in group.iter().flatten().zip(&solo) {
+            assert_eq!(got.ncols, want.ncols);
+            assert_eq!(got.chunks.len(), want.chunks.len());
+            for (a, b) in got.chunks.iter().zip(&want.chunks) {
+                assert_eq!((&a.ordinals, &a.nonmeta), (&b.ordinals, &b.nonmeta));
+            }
+        }
+    }
+
+    #[test]
+    fn read_catalog_groups_by_the_cap_and_names_the_missing_table() {
+        let (db, tids) = db_with_tables(&[1; 5]);
+        let conn = db.connect();
+        let queries = |f: &dyn Fn()| {
+            let before = db.ledger().snapshot();
+            f();
+            db.ledger().snapshot().since(&before).metadata_queries
+        };
+        assert_eq!(queries(&|| assert_eq!(read_catalog(&conn, &tids).unwrap().len(), 5)), 1);
+        assert_eq!(queries(&|| with_catalog_group_cap(2, || drop(read_catalog(&conn, &tids)))), 3);
+        let err = read_catalog(&conn, &[tids[0], TableId(77)]).unwrap_err();
+        assert_eq!(err, table_not_found(TableId(77)));
     }
 
     #[test]
@@ -462,7 +559,7 @@ mod tests {
         // With alpha=beta the uncertain band is empty regardless of the
         // (untrained) model's outputs.
         let cfg = TasteConfig::default().without_p2();
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         let m = model(5);
         let out = p1_one(&m, &cfg, tid, &prep, None);
         assert!(out.uncertain.is_empty(), "alpha == beta must yield no uncertain columns");
@@ -480,7 +577,7 @@ mod tests {
         let (db, tid) = db_with_table(3);
         let conn = db.connect();
         let cfg = TasteConfig { l: 2, ..Default::default() };
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         let m = model(4);
         let cache = LatentCache::new(8);
         let _out = p1_one(&m, &cfg, tid, &prep, Some(&cache));
@@ -497,7 +594,7 @@ mod tests {
         let (db, tid) = db_with_table(4);
         let conn = db.connect();
         let cfg = TasteConfig { n: 3, ..Default::default() };
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         let before = db.ledger().snapshot();
         let p2 = prep_phase2(&conn, tid, &prep, &[1, 3], &cfg, &CancelToken::new()).unwrap();
         let delta = db.ledger().snapshot().since(&before);
@@ -513,7 +610,7 @@ mod tests {
         let (db, tid) = db_with_table(3);
         let conn = db.connect();
         let cfg = TasteConfig::default();
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         let before = db.ledger().snapshot();
         let p2 = prep_phase2(&conn, tid, &prep, &[], &cfg, &CancelToken::new()).unwrap();
         assert_eq!(db.ledger().snapshot().since(&before).scan_queries, 0);
@@ -526,7 +623,7 @@ mod tests {
         let (db, tid) = db_with_table(3);
         let conn = db.connect();
         let cfg = TasteConfig::default();
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         let token = CancelToken::new();
         token.cancel(CancelReason::StageTimeout);
         let err =
@@ -543,7 +640,7 @@ mod tests {
         let conn = db.connect();
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, ..Default::default() };
         let m = model(4);
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         let infer1 = p1_one(&m, &cfg, tid, &prep, None);
         // Only scan columns 0 and 2.
         let p2 = prep_phase2(&conn, tid, &prep, &[0, 2], &cfg, &CancelToken::new()).unwrap();
@@ -602,7 +699,7 @@ mod tests {
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, l: 2, ..Default::default() };
         let m = model(4);
         let preps: Vec<P1Prep> =
-            tids.iter().map(|&tid| prep_phase1(&conn, tid, &cfg).unwrap()).collect();
+            tids.iter().map(|&tid| prep1_one(&conn, tid, &cfg)).collect();
 
         let solo_cache = LatentCache::new(64);
         let solo: Vec<P1Infer> = tids
@@ -635,7 +732,7 @@ mod tests {
         let m = model(4);
         for use_cache in [true, false] {
             let preps: Vec<P1Prep> =
-                tids.iter().map(|&tid| prep_phase1(&conn, tid, &cfg).unwrap()).collect();
+                tids.iter().map(|&tid| prep1_one(&conn, tid, &cfg)).collect();
             // Two caches filled identically, so both sides see the same
             // hits and their counters can be compared afterwards.
             let caches = [(); 2].map(|_| use_cache.then(|| LatentCache::new(64)));
@@ -682,7 +779,7 @@ mod tests {
         let conn = db.connect();
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, l, ..Default::default() };
         let m = model(4);
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         assert_eq!(prep.chunks.len(), 3);
         for use_cache in [true, false] {
             let ref_cache = use_cache.then(|| LatentCache::new(8));
@@ -717,7 +814,7 @@ mod tests {
         let conn = db.connect();
         let cfg = TasteConfig { alpha: 0.0001, beta: 0.9999, l: 2, ..Default::default() };
         let m = model(4);
-        let prep = prep_phase1(&conn, tid, &cfg).unwrap();
+        let prep = prep1_one(&conn, tid, &cfg);
         let cache = LatentCache::new(8);
         let infer1 = p1_one(&m, &cfg, tid, &prep, Some(&cache));
         let p2 = prep_phase2(&conn, tid, &prep, &infer1.uncertain, &cfg, &CancelToken::new()).unwrap();

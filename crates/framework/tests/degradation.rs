@@ -125,7 +125,7 @@ fn p2_total_failure_degrades_to_p1_and_cycles_the_breaker() {
     // Degraded verdicts are exactly the P1 metadata-only verdicts.
     db.set_fault_profile(FaultProfile::none());
     let conn = db.connect();
-    let prep = prep_phase1(&conn, target, &cfg).unwrap();
+    let prep = prep_phase1(&conn, &[target], &cfg).unwrap().pop().flatten().expect("target is in the catalog");
     let item = [P1Item { tid: target, prep: &prep }];
     let p1 = infer_phase1(&m, &cfg, &item, None, &mut taste_model::Inferencer::default());
     assert_eq!(degraded.admitted, p1[0].admitted);

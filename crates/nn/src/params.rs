@@ -408,8 +408,11 @@ mod tests {
 
     #[test]
     fn from_json_rejects_non_finite_values() {
-        // serde_json parses out-of-range literals like 1e999 as infinity.
-        let json = r#"{"params":[{"name":"w","value":{"rows":1,"cols":1,"data":[1e999]}}],"seed":0}"#;
+        // 1e39 is an ordinary JSON number (a finite f64) that no f32 can
+        // hold: any parser accepts it, and narrowing it to the parameter
+        // type yields infinity. (What a parser makes of a literal beyond
+        // f64, like 1e999, differs between implementations.)
+        let json = r#"{"params":[{"name":"w","value":{"rows":1,"cols":1,"data":[1e39]}}],"seed":0}"#;
         match ParamStore::from_json(json) {
             Err(TasteError::Corrupt(msg)) => assert!(msg.contains("non-finite"), "msg: {msg}"),
             other => panic!("expected Corrupt, got {other:?}"),

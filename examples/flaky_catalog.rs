@@ -51,10 +51,12 @@ fn training_inputs(corpus: &Corpus) -> Vec<ModelInput> {
     let conn = loaded.db.connect();
     let ntypes = corpus.ntypes();
     let mut inputs = Vec::new();
-    for (idx, table) in corpus.split_tables(Split::Train).iter().enumerate() {
-        let tid = TableId(idx as u32);
-        let meta = conn.fetch_table_meta(tid).expect("meta");
-        let columns = conn.fetch_columns_meta(tid).expect("columns");
+    // One joined catalog read for the whole split, as the engine does.
+    let tables = corpus.split_tables(Split::Train);
+    let tids: Vec<TableId> = (0..tables.len() as u32).map(TableId).collect();
+    let catalog = conn.fetch_catalog(&tids).expect("catalog");
+    for (table, entry) in tables.iter().zip(catalog) {
+        let (meta, columns) = entry.expect("table in catalog");
         let cells = taste_model::prepare::select_cells(&table.rows, table.width(), 50, 10);
         for chunk in taste_model::prepare::build_chunks(&meta, &columns, 6, false) {
             let contents = chunk.ordinals.iter().map(|&o| cells[o as usize].clone()).collect();
@@ -97,6 +99,12 @@ fn main() {
     // Heal the database before the read-only reporting pass below.
     tenant.db.set_fault_profile(FaultProfile::none());
     let conn = tenant.db.connect();
+    let names: Vec<String> = conn
+        .fetch_catalog(&tenant.db.table_ids())
+        .expect("catalog")
+        .into_iter()
+        .map(|entry| entry.expect("table in catalog").0.name)
+        .collect();
 
     println!(
         "{:<24} {:>8} {:>8} {:>11} {:>10} {:>10}",
@@ -107,7 +115,7 @@ fn main() {
         if r.retries == 0 && !r.degraded && !r.failed {
             continue; // clean table — nothing to report
         }
-        let name = conn.fetch_table_meta(tr.table).expect("meta").name;
+        let name = &names[tr.table.0 as usize];
         let status = if r.failed {
             "FAILED".to_owned()
         } else if r.degraded {

@@ -68,14 +68,18 @@ fn main() {
     let ids = tenant.db.table_ids();
 
     // The serving engine: 30% of tables canary a candidate, judged
-    // after 12 shadow-scored observations.
+    // after 12 shadow-scored observations — or after as many as one batch
+    // over this tenant can supply, when the test split drew fewer than
+    // forty tables: each episode below is decided within its one batch.
+    let canary_fraction = 0.3;
+    let canaries_per_batch = (ids.len() as f64 * canary_fraction).floor() as u64;
     let cfg = TasteConfig {
         pipelining: true,
         rollout: RolloutConfig {
             enabled: true,
             initial_version: 1,
-            canary_fraction: 0.3,
-            min_canary_tables: 12,
+            canary_fraction,
+            min_canary_tables: canaries_per_batch.clamp(1, 12),
             // Generous: the first canary inference on each worker pays
             // the candidate's one-time weight packing, which dwarfs a
             // micro-benchmark-sized inference.

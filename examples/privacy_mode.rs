@@ -48,10 +48,12 @@ fn main() {
     let conn = loaded_train.db.connect();
     let ntypes = corpus.ntypes();
     let mut inputs = Vec::new();
-    for (idx, table) in corpus.split_tables(Split::Train).iter().enumerate() {
-        let tid = TableId(idx as u32);
-        let meta = conn.fetch_table_meta(tid).expect("meta");
-        let columns = conn.fetch_columns_meta(tid).expect("cols");
+    // One joined catalog read for the whole split, as the engine does.
+    let tables = corpus.split_tables(Split::Train);
+    let tids: Vec<TableId> = (0..tables.len() as u32).map(TableId).collect();
+    let catalog = conn.fetch_catalog(&tids).expect("catalog");
+    for (table, entry) in tables.iter().zip(catalog) {
+        let (meta, columns) = entry.expect("table in catalog");
         let cells = taste_model::prepare::select_cells(&table.rows, table.width(), 50, 10);
         for chunk in taste_model::prepare::build_chunks(&meta, &columns, 20, false) {
             let contents = chunk.ordinals.iter().map(|&o| cells[o as usize].clone()).collect();
