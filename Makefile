@@ -45,12 +45,15 @@ sched-1core:
 	taskset -c 0 cargo test --release -p taste-framework
 
 # The benchmark under perf/ (its own offline workspace) against the
-# current crates: build, its tests, and two traced smoke rounds — the
-# zero-latency path, then the cloud path (modelled RDS waits, grouped
-# catalog reads). Fails when a refactor breaks the API perf/README.md pins.
+# current crates: build, its tests, and three traced smoke rounds — the
+# zero-latency path with per-table dispatch, the same with micro-batching
+# on (both dispatch styles drive the one model body), then the cloud path
+# (modelled RDS waits, grouped catalog reads). Fails when a refactor
+# breaks the API perf/README.md pins.
 PERF = --offline --manifest-path perf/Cargo.toml
 perf-smoke:
 	cargo build --release $(PERF)
 	cargo test $(PERF) --workspace
 	cargo run --release --quiet $(PERF) --bin perf -- run --workload wiki_local --smoke --seconds 5 --trace 1
+	cargo run --release --quiet $(PERF) --bin perf -- run --workload wiki_local_batched --smoke --seconds 5 --trace 1
 	cargo run --release --quiet $(PERF) --bin perf -- run --workload wiki_cloud --smoke --seconds 5 --trace 1

@@ -24,10 +24,10 @@ fn bench_matmul(c: &mut Criterion) {
 }
 
 fn bench_kernel_variants(c: &mut Criterion) {
-    // Encoder-shaped matmul through each serving-path kernel variant:
-    // lane (single-thread), packed panels, packed + fused bias/GELU,
-    // and row-parallel at 4 threads. All are bit-identical; only the
-    // time differs.
+    // Encoder-shaped matmul through each kernel variant: the tape's
+    // lane kernel, and the serving path's packed panels, packed + fused
+    // bias/GELU, and packed row-parallel at 4 threads. All are
+    // bit-identical; only the time differs.
     let (m, k, n) = (64usize, 312usize, 312usize);
     let a = Matrix::full(m, k, 0.5);
     let b = Matrix::full(k, n, 0.25);
@@ -37,7 +37,7 @@ fn bench_kernel_variants(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kernel_variants_64x312x312");
     group.bench_function("lane", |bench| {
-        bench.iter(|| kernels::matmul_into_mt(black_box(&a), black_box(&b), 1, &mut out))
+        bench.iter(|| black_box(&a).matmul_into(black_box(&b), &mut out))
     });
     group.bench_function("packed", |bench| {
         bench.iter(|| kernels::matmul_packed_into(black_box(&a), black_box(&packed), None, Act::Ident, 1, &mut out))
@@ -47,8 +47,8 @@ fn bench_kernel_variants(c: &mut Criterion) {
             kernels::matmul_packed_into(black_box(&a), black_box(&packed), Some(&bias), Act::Gelu, 1, &mut out)
         })
     });
-    group.bench_function("lane_threads4", |bench| {
-        bench.iter(|| kernels::matmul_into_mt(black_box(&a), black_box(&b), 4, &mut out))
+    group.bench_function("packed_threads4", |bench| {
+        bench.iter(|| kernels::matmul_packed_into(black_box(&a), black_box(&packed), None, Act::Ident, 4, &mut out))
     });
 
     // The allocation-free transpose-free forms the tape backward uses.

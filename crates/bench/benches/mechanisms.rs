@@ -60,6 +60,21 @@ fn bench_latent_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fixed cost of a batch of one: a single small chunk through the
+/// one ragged model body — the number ROADMAP item 3's planned executor
+/// has to beat.
+fn bench_single_chunk_call(c: &mut Criterion) {
+    let model = Adtd::new(ModelConfig::small(), tokenizer(), 16, 3);
+    let ch = chunk(2);
+    let mut inf = Inferencer::default();
+    let enc = inf.encode_meta(&model, &ch);
+
+    let mut group = c.benchmark_group("single_chunk_call");
+    group.bench_function("encode_meta_2cols", |b| b.iter(|| black_box(inf.encode_meta(&model, &ch))));
+    group.bench_function("predict_meta_2cols", |b| b.iter(|| black_box(inf.predict_meta(&model, &enc, &ch.nonmeta))));
+    group.finish();
+}
+
 /// End-to-end batch detection, sequential vs pipelined across pool
 /// sizes, on a latency-bearing simulated database.
 fn bench_pipelining(c: &mut Criterion) {
@@ -122,6 +137,6 @@ fn bench_pipelining(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(8));
-    targets = bench_latent_cache, bench_pipelining
+    targets = bench_latent_cache, bench_single_chunk_call, bench_pipelining
 }
 criterion_main!(benches);

@@ -126,6 +126,25 @@ pub fn decode_record(buf: &[u8]) -> DecodeStep<'_> {
     DecodeStep::Record { payload, consumed: total }
 }
 
+/// Replaces `path` with `bytes`, durably: the bytes go to `tmp` (a
+/// sibling of `path`) and are fsynced, `tmp` is renamed over `path`, and
+/// the directory is fsynced best-effort — so neither a crash mid-write
+/// nor a power loss after it leaves a half-written file under the real
+/// name. The one writer behind checkpoints, model artifacts and the
+/// persisted latent cache.
+pub fn write_atomic(path: &std::path::Path, tmp: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut f = std::fs::File::create(tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(tmp, path)?;
+    if let Some(dir) = path.parent().and_then(|p| std::fs::File::open(p).ok()) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,8 +19,9 @@
 //! * [`outcome`] — per-table terminal outcomes of a detection batch
 //!   ([`TableOutcome`]): completed, degraded, failed, panicked,
 //!   timed-out, shed (with a [`ShedReason`]), rejected, or cancelled.
-//! * [`checksum`] — CRC32C and torn-write-safe record framing for the
-//!   crash-safety layer (verdict journal, latent-cache persistence).
+//! * [`checksum`] — CRC32C, torn-write-safe record framing and the one
+//!   durable replace-a-file writer for the crash-safety layer (verdict
+//!   journal, latent-cache persistence, checkpoints, model artifacts).
 
 #![warn(missing_docs)]
 

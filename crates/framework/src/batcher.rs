@@ -8,7 +8,7 @@
 //! the scheduler forms an inference job's member list: runnable inference
 //! stages are queued per phase, and one dispatched job serves a
 //! micro-batch of columns drawn from many tables in row-stacked forward
-//! passes (see [`taste_model::Adtd::encode_meta_batched`]).
+//! passes (see [`taste_model::Adtd::encode_meta`]).
 //!
 //! A phase's queue is flushed by whichever trigger fires first:
 //!

@@ -55,7 +55,7 @@ impl ExecutionConfig {
 /// enabled, runnable `P1Infer`/`P2Infer` stages queue on a
 /// [`crate::batcher::BatchPlanner`], and one job serves a whole
 /// micro-batch of columns drawn from many tables in fused, row-stacked
-/// forward passes (see [`taste_model::Adtd::encode_meta_batched`]).
+/// forward passes (see [`taste_model::Adtd::encode_meta`]).
 /// Disabled, each runnable stage is dispatched at once as a batch of
 /// one. The verdicts are bit-identical either way — the knobs below
 /// trade latency against batch fill, never results.

@@ -10,12 +10,13 @@
 //! serves with the full model, feeding cached metadata latents into the
 //! content tower ([`Adtd::predict_content`]).
 //!
-//! The six inference entry points — three operations, each over one
-//! chunk or over a ragged batch of chunks — are generic over [`Forward`],
-//! the only seam between model code and execution. Serving reaches them
-//! through [`crate::Inferencer`], which owns the tape-free executor and
-//! picks the body; the recording [`Tape`] runs the same code in training
-//! and in the parity tests.
+//! Those three inference entry points each have one body, over a ragged
+//! batch of chunks drawn from any number of tables — one chunk is a
+//! batch of one. They are generic over [`Forward`], the only seam between
+//! model code and execution. Serving reaches them through
+//! [`crate::Inferencer`], which owns the tape-free executor; the
+//! recording [`Tape`] runs the same code in the parity tests, and
+//! [`Adtd::forward_train`] drives the same encoder body in training.
 
 use crate::cache::CachedMeta;
 use crate::config::ModelConfig;
@@ -129,120 +130,23 @@ impl Adtd {
         self.packer.pack_content(&self.tokenizer, contents)
     }
 
-    /// P1 inference, step 1: run the metadata tower over a chunk and
-    /// return the per-layer latents + marker positions (cacheable). The
+    // ---- inference entry points --------------------------------------
+    //
+    // The unit of inference is a batch of chunks, from one table or from
+    // many. Encoder passes row-stack every chunk's packed sequence —
+    // lengths may differ freely, since attention is block-diagonal per
+    // sequence and every other op is row-wise — so one ragged forward
+    // serves the whole batch with no padding ever introduced. Classifier
+    // heads are purely row-wise, so every column in the batch goes
+    // through a single head pass. A chunk's outputs do not depend on
+    // what it is batched with.
+
+    /// P1 inference, step 1: one metadata-tower pass over the batch,
+    /// scattering the stacked per-layer latents back into one cacheable
+    /// [`MetaEncoding`] (latents + marker positions) per chunk. The
     /// latents are copied out of the executor because the encoding must
     /// outlive it (that copy *is* the cacheable artifact).
-    pub fn encode_meta<E: Forward + ?Sized>(&self, ex: &mut E, chunk: &TableChunk) -> MetaEncoding {
-        let packed = self.pack_meta(chunk);
-        let tokens: Vec<usize> = packed.tokens.iter().map(|&t| t as usize).collect();
-        let latents = self.encoder.forward_meta(ex, &self.store, &tokens);
-        MetaEncoding {
-            layer_latents: latents.into_iter().map(|id| ex.value(id).clone()).collect(),
-            col_marker_pos: packed.col_marker_pos,
-        }
-    }
-
-    /// P1 inference, step 2: per-column type probabilities from the
-    /// metadata encoding — the matrix `p_{c,s}` of §3.2. The marker-row
-    /// gather and the feature stacking go straight into backend leaves —
-    /// no intermediate owned matrices on the hot path.
-    pub fn predict_meta<E: Forward + ?Sized>(
-        &self,
-        ex: &mut E,
-        enc: &MetaEncoding,
-        nonmeta: &[Vec<f32>],
-    ) -> Vec<Vec<f32>> {
-        assert_eq!(enc.col_marker_pos.len(), nonmeta.len(), "column count mismatch");
-        if nonmeta.is_empty() {
-            return Vec::new();
-        }
-        let final_latent = enc.layer_latents.last().expect("encoder has layers");
-        let latent_node = ex.leaf_gather(final_latent, &enc.col_marker_pos);
-        let feat_refs: Vec<&[f32]> = nonmeta.iter().map(Vec::as_slice).collect();
-        let feat_node = ex.leaf_rows(&feat_refs);
-        let x = ex.hcat(latent_node, feat_node);
-        let logits = self.meta_head.forward(ex, &self.store, x);
-        let probs = ex.sigmoid(logits);
-        matrix_rows(ex.value(probs))
-    }
-
-    /// P2 inference: content-tower pass reusing the cached metadata
-    /// latents. `contents[j]` is `Some` exactly for scanned columns;
-    /// returns `Some(probs)` for those columns (unless the sequence cap
-    /// dropped them) and `None` elsewhere. Cached latents enter as
-    /// leaves, the marker gathers stay inside the backend (one pass, no
-    /// clone-out/re-leaf round trip), and features are stacked directly
-    /// from `nonmeta` row slices.
-    pub fn predict_content<E: Forward + ?Sized>(
-        &self,
-        ex: &mut E,
-        enc: &MetaEncoding,
-        contents: &[Option<ColumnContent>],
-        nonmeta: &[Vec<f32>],
-    ) -> Vec<Option<Vec<f32>>> {
-        assert_eq!(contents.len(), nonmeta.len(), "column count mismatch");
-        assert_eq!(contents.len(), enc.col_marker_pos.len(), "column count mismatch");
-        let packed = self.pack_content(contents);
-        if packed.tokens.is_empty() {
-            return vec![None; contents.len()];
-        }
-        let mut included: Vec<usize> = Vec::new();
-        let mut content_rows: Vec<usize> = Vec::new();
-        for (j, pos) in packed.val_marker_pos.iter().enumerate() {
-            if let Some(p) = pos {
-                included.push(j);
-                content_rows.push(*p);
-            }
-        }
-        if included.is_empty() {
-            return vec![None; contents.len()];
-        }
-
-        let meta_nodes: Vec<NodeId> = enc.layer_latents.iter().map(|m| ex.leaf_copy(m)).collect();
-        let tokens: Vec<usize> = packed.tokens.iter().map(|&t| t as usize).collect();
-        let content_latent = self.encoder.forward_content(ex, &self.store, &tokens, &meta_nodes);
-        let meta_final = enc.layer_latents.last().expect("encoder has layers");
-
-        let c = ex.gather_rows(content_latent, &content_rows);
-        let m = ex.leaf_gather(
-            meta_final,
-            &included.iter().map(|&j| enc.col_marker_pos[j]).collect::<Vec<_>>(),
-        );
-        let feat_refs: Vec<&[f32]> = included.iter().map(|&j| nonmeta[j].as_slice()).collect();
-        let f = ex.leaf_rows(&feat_refs);
-        let cm = ex.hcat(c, m);
-        let x = ex.hcat(cm, f);
-        let logits = self.content_head.forward(ex, &self.store, x);
-        let probs = ex.sigmoid(logits);
-        let prob_rows = matrix_rows(ex.value(probs));
-
-        let mut out = vec![None; contents.len()];
-        for (row, j) in prob_rows.into_iter().zip(&included) {
-            out[*j] = Some(row);
-        }
-        out
-    }
-
-    // ---- micro-batched serving entry points --------------------------
-    //
-    // The unit of inference here is a micro-batch of chunks drawn from
-    // many tables. Encoder passes row-stack every chunk's packed
-    // sequence — lengths may differ freely, since attention is
-    // block-diagonal per sequence and every other op is row-wise — so
-    // one ragged fused forward serves the whole batch with no padding
-    // ever introduced. Classifier heads are purely row-wise, so every
-    // column in the batch goes through a single fused head pass. All
-    // outputs are bit-identical to the per-chunk entry points above.
-
-    /// Batched [`Adtd::encode_meta`]: one ragged fused metadata-tower
-    /// pass over the whole batch, scattering the stacked per-layer
-    /// latents back into one cacheable [`MetaEncoding`] per chunk.
-    pub fn encode_meta_batched<E: Forward + ?Sized>(
-        &self,
-        ex: &mut E,
-        chunks: &[&TableChunk],
-    ) -> Vec<MetaEncoding> {
+    pub fn encode_meta<E: Forward + ?Sized>(&self, ex: &mut E, chunks: &[&TableChunk]) -> Vec<MetaEncoding> {
         if chunks.is_empty() {
             return Vec::new();
         }
@@ -250,10 +154,10 @@ impl Adtd {
         let tokens: Vec<Vec<usize>> =
             packed.iter().map(|p| p.tokens.iter().map(|&t| t as usize).collect()).collect();
         let seqs: Vec<&[usize]> = tokens.iter().map(Vec::as_slice).collect();
-        let latents = self.encoder.forward_meta_batched(ex, &self.store, &seqs);
+        let latents = self.encoder.forward_meta(ex, &self.store, &seqs);
         let mut out = Vec::with_capacity(chunks.len());
         let mut off = 0;
-        for (i, seq) in seqs.iter().enumerate() {
+        for (p, seq) in packed.into_iter().zip(&seqs) {
             out.push(MetaEncoding {
                 layer_latents: latents
                     .iter()
@@ -266,19 +170,20 @@ impl Adtd {
                         Matrix::from_vec(seq.len(), cols, rows.to_vec())
                     })
                     .collect(),
-                col_marker_pos: packed[i].col_marker_pos.clone(),
+                col_marker_pos: p.col_marker_pos,
             });
             off += seq.len();
         }
         out
     }
 
-    /// Batched [`Adtd::predict_meta`]: classifies every column of every
-    /// chunk in one fused head pass (the head is row-wise, so ragged
-    /// stacking is free). `items[i]` pairs chunk `i`'s encoding with
-    /// its per-column non-metadata features; returns one probability
-    /// matrix per chunk, bit-identical to per-chunk [`Adtd::predict_meta`].
-    pub fn predict_meta_batched<E: Forward + ?Sized>(
+    /// P1 inference, step 2: per-column type probabilities from the
+    /// metadata encodings — the matrix `p_{c,s}` of §3.2, one per chunk.
+    /// `items[i]` pairs chunk `i`'s encoding with its per-column
+    /// non-metadata features. Every column of every chunk is classified
+    /// in one head pass; marker rows and features go straight into
+    /// backend leaves — no intermediate owned matrices on the hot path.
+    pub fn predict_meta<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         items: &[(&MetaEncoding, &[Vec<f32>])],
@@ -308,20 +213,20 @@ impl Adtd {
             .collect()
     }
 
-    /// Batched [`Adtd::predict_content`]: gathers each chunk's cached
-    /// metadata latents, runs the content tower once over the whole
-    /// ragged batch (each sequence keeps its *own* per-layer key/value
-    /// stack), and classifies every scanned column of the batch in one
-    /// fused head pass. Returns per chunk what [`Adtd::predict_content`]
-    /// returns, bit-identically.
-    pub fn predict_content_batched<E: Forward + ?Sized>(
+    /// P2 inference: one content-tower pass over the batch, reusing each
+    /// chunk's cached metadata latents (each sequence keeps its *own*
+    /// per-layer key/value stack), then one head pass over every scanned
+    /// column. A chunk's `contents[j]` is `Some` exactly for its scanned
+    /// columns; it gets `Some(probs)` for those (unless the sequence cap
+    /// dropped them) and `None` elsewhere. Cached latents enter as
+    /// leaves and the marker gather stays inside the backend.
+    pub fn predict_content<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         items: &[ContentBatchItem<'_>],
     ) -> Vec<Vec<Option<Vec<f32>>>> {
         // Pack every chunk; chunks whose packed sequence is empty (or
-        // whose columns were all dropped by the cap) short-circuit to
-        // all-`None`, exactly as the unbatched path does.
+        // whose columns were all dropped by the cap) stay all-`None`.
         struct Prep {
             item: usize,
             tokens: Vec<usize>,
@@ -365,7 +270,7 @@ impl Adtd {
             .iter()
             .map(|p| items[p.item].0.layer_latents.iter().map(|m| ex.leaf_copy(m)).collect())
             .collect();
-        let content_latent = self.encoder.forward_content_batched(ex, &self.store, &seqs, &meta_nodes);
+        let content_latent = self.encoder.forward_content(ex, &self.store, &seqs, &meta_nodes);
 
         // One head pass over every scanned column in the batch.
         let mut gather_rows: Vec<usize> = Vec::new();
@@ -411,13 +316,13 @@ impl Adtd {
     ) -> TrainForward {
         let packed_meta = self.pack_meta(&input.chunk);
         let meta_tokens: Vec<usize> = packed_meta.tokens.iter().map(|&t| t as usize).collect();
-        let meta_latents = self.encoder.forward_meta(tape, &self.store, &meta_tokens);
+        let meta_latents = self.encoder.forward_meta(tape, &self.store, &[&meta_tokens]);
         let meta_final = *meta_latents.last().expect("layers");
 
         let ncols = input.chunk.col_texts.len();
-        let meta_rows = gather_node_rows(tape, meta_final, &packed_meta.col_marker_pos);
+        let meta_rows = tape.gather_rows(meta_final, &packed_meta.col_marker_pos);
         let feat_dim = input.chunk.nonmeta.first().map_or(0, Vec::len);
-        let mut feats = tape.leaf(rows_matrix(&input.chunk.nonmeta));
+        let mut feats = tape.leaf(Matrix::from_rows(&input.chunk.nonmeta));
 
         // Optional inverted dropout on the latent rows, and a *stronger*
         // dropout on the non-textual features: catalog statistics (NDV,
@@ -457,13 +362,17 @@ impl Adtd {
             None
         } else {
             let content_tokens: Vec<usize> = packed_content.tokens.iter().map(|&t| t as usize).collect();
-            let content_latent = self.encoder.forward_content(tape, &self.store, &content_tokens, &meta_latents);
-            let c_rows = gather_node_rows(tape, content_latent, &marker_rows);
+            let content_latent = self.encoder.forward_content(
+                tape,
+                &self.store,
+                &[&content_tokens],
+                std::slice::from_ref(&meta_latents),
+            );
+            let c_rows = tape.gather_rows(content_latent, &marker_rows);
             let m_positions: Vec<usize> = content_cols.iter().map(|&j| packed_meta.col_marker_pos[j]).collect();
-            let m_rows = gather_node_rows(tape, meta_final, &m_positions);
-            let f_rows = tape.leaf(rows_matrix(
-                &content_cols.iter().map(|&j| input.chunk.nonmeta[j].clone()).collect::<Vec<_>>(),
-            ));
+            let m_rows = tape.gather_rows(meta_final, &m_positions);
+            let f_refs: Vec<&[f32]> = content_cols.iter().map(|&j| input.chunk.nonmeta[j].as_slice()).collect();
+            let f_rows = tape.leaf_rows(&f_refs);
             let cm = tape.hcat(c_rows, m_rows);
             let x = tape.hcat(cm, f_rows);
             Some(self.content_head.forward(tape, &self.store, x))
@@ -530,32 +439,6 @@ impl Adtd {
         }
         Ok(model)
     }
-}
-
-/// Collects `positions` rows of a node into a `[positions.len(), H]` node.
-pub(crate) fn gather_node_rows(tape: &mut Tape, node: NodeId, positions: &[usize]) -> NodeId {
-    assert!(!positions.is_empty(), "cannot gather zero rows");
-    let mut acc: Option<NodeId> = None;
-    for &p in positions {
-        let row = tape.slice_rows(node, p, 1);
-        acc = Some(match acc {
-            Some(prev) => tape.vcat(prev, row),
-            None => row,
-        });
-    }
-    acc.expect("non-empty positions")
-}
-
-/// Stacks per-column feature vectors into a matrix.
-pub(crate) fn rows_matrix(rows: &[Vec<f32>]) -> Matrix {
-    assert!(!rows.is_empty(), "cannot stack zero rows");
-    let cols = rows[0].len();
-    let mut data = Vec::with_capacity(rows.len() * cols);
-    for r in rows {
-        assert_eq!(r.len(), cols, "ragged feature rows");
-        data.extend_from_slice(r);
-    }
-    Matrix::from_vec(rows.len(), cols, data)
 }
 
 /// Splits a matrix back into per-row vectors.
@@ -664,7 +547,15 @@ mod tests {
 
     #[test]
     fn forward_train_covers_all_columns() {
-        let m = model(4);
+        let mut m = model(4);
+        // Weights that do not depend on which `rand` is linked, so the
+        // pinned bits below are a property of the forward pass alone.
+        let ids: Vec<_> = m.store.ids().collect();
+        for (k, id) in ids.into_iter().enumerate() {
+            for (i, v) in m.store.value_mut(id).as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 31 + k * 17) % 23) as f32 / 23.0 * 0.4 - 0.2;
+            }
+        }
         let c = chunk(3);
         let input = ModelInput {
             contents: (0..3).map(|_| ColumnContent { cells: vec!["city".into()] }).collect(),
@@ -677,6 +568,16 @@ mod tests {
         assert_eq!(tape.value(fwd.meta_logits).shape(), (3, 4));
         assert_eq!(fwd.content_cols, vec![0, 1, 2]);
         assert_eq!(tape.value(fwd.content_logits.unwrap()).shape(), (3, 4));
+
+        // Recorded at the commit that still had single-sequence encoder
+        // forwards (PR 16): training through the one ragged body, as a
+        // batch of one, records the same nodes and computes the same bits.
+        assert_eq!(tape.len(), 153, "tape nodes recorded by forward_train");
+        let sm = tape.square(fwd.meta_logits);
+        let sc = tape.square(fwd.content_logits.unwrap());
+        let (lm, lc) = (tape.sum(sm), tape.sum(sc));
+        let loss = tape.add(lm, lc);
+        assert_eq!(tape.value(loss).item().to_bits(), 0x3eb8_e2aa, "Σ logits² over both towers");
     }
 
     #[test]
@@ -707,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_encode_meta_is_bit_identical_to_per_chunk() {
+    fn stacked_encode_meta_is_bit_identical_to_batches_of_one() {
         let m = model(4);
         let mut inf = Inferencer::default();
         let chunks: Vec<TableChunk> = (0..7).map(varied_chunk).collect();
@@ -721,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_predict_meta_is_bit_identical_to_per_chunk() {
+    fn stacked_predict_meta_is_bit_identical_to_batches_of_one() {
         let m = model(5);
         let mut inf = Inferencer::default();
         let chunks: Vec<TableChunk> = (0..5).map(varied_chunk).collect();
@@ -735,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_predict_content_is_bit_identical_to_per_chunk() {
+    fn stacked_predict_content_is_bit_identical_to_batches_of_one() {
         let m = model(4);
         let mut inf = Inferencer::default();
         let chunks: Vec<TableChunk> = (0..6).map(varied_chunk).collect();
@@ -769,10 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn six_bodies_produce_identical_bytes_on_tape_and_exec_session() {
-        // The serving backend against the training backend, through the
-        // same generic bodies: every entry point, one chunk and many,
-        // empty and singleton batches included.
+    fn three_bodies_produce_identical_bytes_stacked_and_one_by_one_on_tape_and_exec_session() {
+        // Three bodies × two backends × {stacked, one chunk at a time}:
+        // N chunks stacked = N batches of one = the tape's composed
+        // reference, byte for byte — empty and singleton batches and an
+        // all-`None` content chunk included.
         let m = model(4);
         let chunks: Vec<TableChunk> = (0..4).map(varied_chunk).collect();
         let refs: Vec<&TableChunk> = chunks.iter().collect();
@@ -781,38 +683,42 @@ mod tests {
             .enumerate()
             .map(|(i, c)| {
                 (0..c.col_texts.len())
-                    .map(|j| ((i + j) % 2 == 1).then(|| ColumnContent { cells: vec![format!("phone{i}")] }))
+                    .map(|j| (i != 2 && (i + j) % 2 == 1).then(|| ColumnContent { cells: vec![format!("phone{i}")] }))
                     .collect()
             })
             .collect();
+        assert!(contents[2].iter().all(Option::is_none), "fixture has an all-None chunk");
         let mut exec = InferExec::new();
 
-        let solo_t: Vec<MetaEncoding> = chunks.iter().map(|c| m.encode_meta(&mut Tape::new(), c)).collect();
+        // The reference for everything: one chunk at a time on the tape.
+        let solo_t: Vec<MetaEncoding> =
+            refs.iter().flat_map(|c| m.encode_meta(&mut Tape::new(), &[c])).collect();
         let solo_s: Vec<MetaEncoding> =
-            chunks.iter().map(|c| m.encode_meta(&mut exec.session(&m.store), c)).collect();
-        let fused_t = m.encode_meta_batched(&mut Tape::new(), &refs);
-        let fused_s = m.encode_meta_batched(&mut exec.session(&m.store), &refs);
+            refs.iter().flat_map(|c| m.encode_meta(&mut exec.session(&m.store), &[c])).collect();
+        let fused_t = m.encode_meta(&mut Tape::new(), &refs);
+        let fused_s = m.encode_meta(&mut exec.session(&m.store), &refs);
         for enc in [&solo_s, &fused_t, &fused_s] {
+            assert_eq!(enc.len(), solo_t.len());
             for (a, b) in solo_t.iter().zip(enc) {
                 assert_eq!(a.layer_latents, b.layer_latents, "latent bytes diverged");
                 assert_eq!(a.col_marker_pos, b.col_marker_pos);
             }
         }
-        assert!(m.encode_meta_batched(&mut Tape::new(), &[]).is_empty());
-        assert!(m.encode_meta_batched(&mut exec.session(&m.store), &[]).is_empty());
-        let one = m.encode_meta_batched(&mut exec.session(&m.store), &refs[..1]);
-        assert_eq!(one[0].layer_latents, solo_t[0].layer_latents);
+        assert!(m.encode_meta(&mut Tape::new(), &[]).is_empty());
+        assert!(m.encode_meta(&mut exec.session(&m.store), &[]).is_empty());
 
         let meta_items: Vec<(&MetaEncoding, &[Vec<f32>])> =
             solo_t.iter().zip(&chunks).map(|(e, c)| (e, c.nonmeta.as_slice())).collect();
         let meta_t: Vec<Vec<Vec<f32>>> =
-            meta_items.iter().map(|(e, f)| m.predict_meta(&mut Tape::new(), e, f)).collect();
+            meta_items.iter().flat_map(|&it| m.predict_meta(&mut Tape::new(), &[it])).collect();
         let meta_s: Vec<Vec<Vec<f32>>> =
-            meta_items.iter().map(|(e, f)| m.predict_meta(&mut exec.session(&m.store), e, f)).collect();
+            meta_items.iter().flat_map(|&it| m.predict_meta(&mut exec.session(&m.store), &[it])).collect();
+        assert_eq!(meta_t.len(), chunks.len());
         assert_eq!(meta_t, meta_s);
-        assert_eq!(meta_t, m.predict_meta_batched(&mut Tape::new(), &meta_items));
-        assert_eq!(meta_t, m.predict_meta_batched(&mut exec.session(&m.store), &meta_items));
-        assert!(m.predict_meta_batched(&mut exec.session(&m.store), &[]).is_empty());
+        assert_eq!(meta_t, m.predict_meta(&mut Tape::new(), &meta_items));
+        assert_eq!(meta_t, m.predict_meta(&mut exec.session(&m.store), &meta_items));
+        assert!(m.predict_meta(&mut Tape::new(), &[]).is_empty());
+        assert!(m.predict_meta(&mut exec.session(&m.store), &[]).is_empty());
 
         let content_items: Vec<ContentBatchItem<'_>> = solo_t
             .iter()
@@ -821,16 +727,19 @@ mod tests {
             .map(|((e, ct), c)| (e, ct.as_slice(), c.nonmeta.as_slice()))
             .collect();
         let content_t: Vec<Vec<Option<Vec<f32>>>> =
-            content_items.iter().map(|(e, ct, f)| m.predict_content(&mut Tape::new(), e, ct, f)).collect();
+            content_items.iter().flat_map(|&it| m.predict_content(&mut Tape::new(), &[it])).collect();
         let content_s: Vec<Vec<Option<Vec<f32>>>> = content_items
             .iter()
-            .map(|(e, ct, f)| m.predict_content(&mut exec.session(&m.store), e, ct, f))
+            .flat_map(|&it| m.predict_content(&mut exec.session(&m.store), &[it]))
             .collect();
+        assert_eq!(content_t.len(), chunks.len());
         assert!(content_t.iter().flatten().any(Option::is_some), "fixture scans at least one column");
+        assert!(content_t[2].iter().all(Option::is_none), "nothing scanned, nothing predicted");
         assert_eq!(content_t, content_s);
-        assert_eq!(content_t, m.predict_content_batched(&mut Tape::new(), &content_items));
-        assert_eq!(content_t, m.predict_content_batched(&mut exec.session(&m.store), &content_items));
-        assert!(m.predict_content_batched(&mut exec.session(&m.store), &[]).is_empty());
+        assert_eq!(content_t, m.predict_content(&mut Tape::new(), &content_items));
+        assert_eq!(content_t, m.predict_content(&mut exec.session(&m.store), &content_items));
+        assert!(m.predict_content(&mut Tape::new(), &[]).is_empty());
+        assert!(m.predict_content(&mut exec.session(&m.store), &[]).is_empty());
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //!   table-wise), so metadata and content are not architecturally
 //!   separated — again per §6.4.
 
-use crate::adtd::{gather_node_rows, matrix_rows, rows_matrix, Head};
+use crate::adtd::{matrix_rows, Head};
 use crate::config::ModelConfig;
 use crate::encoder::Encoder;
 use crate::features::NONMETA_DIM;
 use crate::prepare::{ModelInput, TableChunk};
 use serde::{Deserialize, Serialize};
-use taste_nn::{NodeId, ParamStore, Tape};
+use taste_nn::{Forward, Matrix, NodeId, ParamStore, Tape};
 use taste_tokenizer::vocab::Special;
 use taste_tokenizer::{ColumnContent, Tokenizer};
 
@@ -165,7 +165,7 @@ impl SingleTower {
                         .position(|&t| t as u32 == self.tokenizer.vocab().special(Special::Col))
                         .expect("turl sequence always contains [COL]");
                     let row = tape.slice_rows(latent, col_pos, 1);
-                    let feats = tape.leaf(rows_matrix(&[chunk.nonmeta[j].clone()]));
+                    let feats = tape.leaf(Matrix::row(chunk.nonmeta[j].clone()));
                     let x = tape.hcat(row, feats);
                     let logits = self.head.forward(&mut tape, &self.store, x);
                     let probs = tape.sigmoid(logits);
@@ -177,8 +177,8 @@ impl SingleTower {
                 let tokens: Vec<usize> = toks.iter().map(|&t| t as usize).collect();
                 let mut tape = Tape::new();
                 let latent = self.encoder.forward_self(&mut tape, &self.store, &tokens);
-                let rows = gather_node_rows(&mut tape, latent, &markers);
-                let feats = tape.leaf(rows_matrix(&chunk.nonmeta));
+                let rows = tape.gather_rows(latent, &markers);
+                let feats = tape.leaf(Matrix::from_rows(&chunk.nonmeta));
                 let x = tape.hcat(rows, feats);
                 let logits = self.head.forward(&mut tape, &self.store, x);
                 let probs = tape.sigmoid(logits);
@@ -251,7 +251,7 @@ impl SingleTower {
                     });
                 }
                 let rows = acc.expect("non-empty chunk");
-                let feats = tape.leaf(rows_matrix(&input.chunk.nonmeta));
+                let feats = tape.leaf(Matrix::from_rows(&input.chunk.nonmeta));
                 let x = tape.hcat(rows, feats);
                 self.head.forward(tape, &self.store, x)
             }
@@ -259,8 +259,8 @@ impl SingleTower {
                 let (toks, markers) = self.doduo_tokens(&input.chunk, &input.contents);
                 let tokens: Vec<usize> = toks.iter().map(|&t| t as usize).collect();
                 let latent = self.encoder.forward_self(tape, &self.store, &tokens);
-                let rows = gather_node_rows(tape, latent, &markers);
-                let feats = tape.leaf(rows_matrix(&input.chunk.nonmeta));
+                let rows = tape.gather_rows(latent, &markers);
+                let feats = tape.leaf(Matrix::from_rows(&input.chunk.nonmeta));
                 let x = tape.hcat(rows, feats);
                 self.head.forward(tape, &self.store, x)
             }

@@ -17,7 +17,10 @@
 //! process death: entries are written as length-prefixed, CRC32C-framed
 //! records (see [`taste_core::checksum`]), so a torn write at process
 //! kill truncates cleanly and a bit-rotted entry is detected, skipped,
-//! and counted instead of silently skewing P2 inference.
+//! and counted instead of silently skewing P2 inference. A record whose
+//! checksum holds is still outside input: it is shape- and
+//! finiteness-checked ([`CachedMeta::validate`]) before it is cached,
+//! because `predict_meta` / `predict_content` index straight into it.
 
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
@@ -25,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
-use taste_core::checksum::{decode_record, encode_record, DecodeStep};
+use taste_core::checksum::{decode_record, encode_record, write_atomic, DecodeStep};
 use taste_core::{Result, TableId, TasteError};
 use taste_nn::Matrix;
 
@@ -36,6 +39,34 @@ pub struct CachedMeta {
     pub layer_latents: Vec<Matrix>,
     /// `[COL]` marker positions within the chunk's metadata sequence.
     pub col_marker_pos: Vec<usize>,
+}
+
+impl CachedMeta {
+    /// Checks what the model bodies assume of an encoding: at least one
+    /// layer, every layer's buffer as long as its shape says, all layers
+    /// one shape, every value finite, every marker inside the sequence.
+    ///
+    /// # Errors
+    /// [`TasteError::Corrupt`] naming the first violation.
+    pub fn validate(&self) -> Result<()> {
+        let shape = self.layer_latents.first().map(Matrix::shape).ok_or_else(|| TasteError::corrupt("no layer latents"))?;
+        for (i, m) in self.layer_latents.iter().enumerate() {
+            let (rows, cols) = m.shape();
+            if rows.checked_mul(cols) != Some(m.len()) {
+                return Err(TasteError::corrupt(format!("layer {i}: {} values for shape {rows}x{cols}", m.len())));
+            }
+            if m.shape() != shape {
+                return Err(TasteError::corrupt(format!("layer {i} is {rows}x{cols}, layer 0 is {shape:?}")));
+            }
+            if !m.all_finite() {
+                return Err(TasteError::corrupt(format!("layer {i} contains non-finite values")));
+            }
+        }
+        match self.col_marker_pos.iter().find(|&&p| p >= shape.0) {
+            Some(p) => Err(TasteError::corrupt(format!("column marker at row {p} of {}", shape.0))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Cache key: table id plus chunk index within the table.
@@ -126,9 +157,10 @@ impl LatentCache {
     }
 
     /// Persists every cached entry to `path` as checksummed records,
-    /// writing to a temporary sibling file first and renaming into place
-    /// so a crash mid-save never leaves a half-written cache under the
-    /// real name. Returns the number of entries written.
+    /// durably ([`write_atomic`]: temp file, fsync, rename into place,
+    /// best-effort directory fsync) — so neither a crash mid-save nor a
+    /// power loss after it leaves a half-written cache under the real
+    /// name. Returns the number of entries written.
     pub fn save(&self, path: &Path) -> Result<usize> {
         let mut buf = Vec::new();
         let mut written = 0usize;
@@ -150,11 +182,8 @@ impl LatentCache {
                 written += 1;
             }
         }
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &buf)
-            .map_err(|e| TasteError::Serde(format!("cache write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| TasteError::Serde(format!("cache rename {}: {e}", path.display())))?;
+        write_atomic(path, &path.with_extension("tmp"), &buf)
+            .map_err(|e| TasteError::Serde(format!("cache save {}: {e}", path.display())))?;
         Ok(written)
     }
 
@@ -162,9 +191,11 @@ impl LatentCache {
     /// this cache (on top of whatever it already holds, subject to the
     /// capacity bound).
     ///
-    /// Records that fail their checksum are quarantined — skipped and
-    /// counted in [`CacheRestoreStats::corrupt`] — and a torn tail stops
-    /// the restore at the last whole record. Neither is an error: a
+    /// Records that fail their checksum, do not decode, or decode to an
+    /// entry that fails [`CachedMeta::validate`] are quarantined —
+    /// skipped and counted in [`CacheRestoreStats::corrupt`] — and a torn
+    /// tail stops the restore at the last whole record. Neither is an
+    /// error: a
     /// restored cache is an optimization, and P2 recomputes any latent
     /// that did not survive.
     pub fn restore(&self, path: &Path) -> Result<CacheRestoreStats> {
@@ -176,20 +207,19 @@ impl LatentCache {
             match decode_record(&bytes[at..]) {
                 DecodeStep::Record { payload, consumed } => {
                     at += consumed;
-                    match serde_json::from_slice::<PersistedEntry>(payload) {
-                        Ok(entry) => {
-                            self.put(
-                                (TableId(entry.table), entry.chunk),
-                                Arc::new(CachedMeta {
-                                    layer_latents: entry.layer_latents,
-                                    col_marker_pos: entry.col_marker_pos,
-                                }),
-                            );
+                    // Checksum-valid but undecodable or malformed: written
+                    // by an incompatible version, or by something that is
+                    // not this program. Quarantine it too.
+                    let entry = serde_json::from_slice::<PersistedEntry>(payload).ok().map(|e| {
+                        let meta = CachedMeta { layer_latents: e.layer_latents, col_marker_pos: e.col_marker_pos };
+                        ((TableId(e.table), e.chunk), meta)
+                    });
+                    match entry {
+                        Some((key, meta)) if meta.validate().is_ok() => {
+                            self.put(key, Arc::new(meta));
                             stats.loaded += 1;
                         }
-                        // Checksum-valid but undecodable: written by an
-                        // incompatible version. Quarantine it too.
-                        Err(_) => stats.corrupt += 1,
+                        _ => stats.corrupt += 1,
                     }
                 }
                 DecodeStep::CorruptPayload { consumed } => {
@@ -220,7 +250,7 @@ struct PersistedEntry {
 pub struct CacheRestoreStats {
     /// Entries restored intact.
     pub loaded: usize,
-    /// Records quarantined for a checksum or decode failure.
+    /// Records quarantined for a checksum, decode or validation failure.
     pub corrupt: usize,
     /// Whether the file ended in a torn (partially written) record.
     pub torn_tail: bool,
@@ -345,6 +375,50 @@ mod tests {
         let stats = restored.restore(&path).unwrap();
         assert_eq!(stats.loaded, 3);
         assert!(stats.torn_tail);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn malformed_but_checksum_valid_records_are_quarantined() {
+        // Hand-built, correctly framed records: the checksum holds, the
+        // JSON decodes, and the entry would panic (or be served) inside
+        // `predict_meta` / `predict_content`. One per failure mode
+        // `CachedMeta::validate` names, between two intact records.
+        let good = |table: u32| format!(
+            r#"{{"table":{table},"chunk":0,"layer_latents":[{{"rows":2,"cols":2,"data":[1.0,2.0,3.0,4.0]}},{{"rows":2,"cols":2,"data":[5.0,6.0,7.0,8.0]}}],"col_marker_pos":[0,1]}}"#
+        );
+        let bad = [
+            // A buffer shorter than its declared shape.
+            r#"{"table":10,"chunk":0,"layer_latents":[{"rows":2,"cols":2,"data":[1.0]}],"col_marker_pos":[0]}"#,
+            // Layers that disagree on rows / width.
+            r#"{"table":11,"chunk":0,"layer_latents":[{"rows":2,"cols":1,"data":[1.0,2.0]},{"rows":1,"cols":2,"data":[1.0,2.0]}],"col_marker_pos":[0]}"#,
+            // A value no f32 can hold (see `from_json_rejects_non_finite_values`).
+            r#"{"table":12,"chunk":0,"layer_latents":[{"rows":1,"cols":2,"data":[1.0,1e39]}],"col_marker_pos":[0]}"#,
+            // A column marker past the last row.
+            r#"{"table":13,"chunk":0,"layer_latents":[{"rows":2,"cols":1,"data":[1.0,2.0]}],"col_marker_pos":[0,2]}"#,
+            // No layers at all.
+            r#"{"table":14,"chunk":0,"layer_latents":[],"col_marker_pos":[]}"#,
+        ];
+        let mut bytes = encode_record(good(1).as_bytes());
+        for payload in bad {
+            bytes.extend_from_slice(&encode_record(payload.as_bytes()));
+        }
+        bytes.extend_from_slice(&encode_record(good(2).as_bytes()));
+        let path = temp_path("malformed");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let restored = LatentCache::new(64);
+        let stats = restored.restore(&path).unwrap();
+        assert_eq!(stats, CacheRestoreStats { loaded: 2, corrupt: bad.len(), torn_tail: false });
+        assert_eq!(restored.len(), 2, "no malformed entry is cached");
+        for table in [1, 2] {
+            let got = restored.get(&(TableId(table), 0)).expect("intact record loads");
+            assert_eq!(got.col_marker_pos, vec![0, 1]);
+            assert_eq!(got.layer_latents[1].as_slice(), &[5.0, 6.0, 7.0, 8.0]);
+        }
+        for table in 10..15 {
+            assert!(restored.get(&(TableId(table), 0)).is_none(), "table {table} must not be cached");
+        }
         std::fs::remove_file(&path).ok();
     }
 

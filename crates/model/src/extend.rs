@@ -10,7 +10,7 @@
 //! magnitude cheaper than full retraining, and existing types keep their
 //! exact representations.
 
-use crate::adtd::{rows_matrix, Adtd, Head};
+use crate::adtd::{Adtd, Head};
 use crate::prepare::ModelInput;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -116,12 +116,12 @@ pub fn train_heads_only(
                 let input = &inputs[i];
                 let fwd = model.forward_train(&mut tape, input, None);
                 cols += input.targets.len();
-                let targets = rows_matrix(&input.targets);
+                let targets = Matrix::from_rows(&input.targets);
                 batch_losses.push(tape.bce_with_logits_weighted_sum(fwd.meta_logits, targets, pos_weight));
                 if let Some(logits) = fwd.content_logits {
                     let sub: Vec<Vec<f32>> =
                         fwd.content_cols.iter().map(|&j| input.targets[j].clone()).collect();
-                    batch_losses.push(tape.bce_with_logits_weighted_sum(logits, rows_matrix(&sub), pos_weight));
+                    batch_losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&sub), pos_weight));
                 }
             }
             let mut total = batch_losses[0];

@@ -9,10 +9,10 @@
 //! only through the classifier heads (encoder frozen), so a handful of
 //! clicks cannot distort the shared representation.
 
-use crate::adtd::{gather_node_rows, Adtd};
+use crate::adtd::Adtd;
 use crate::prepare::TableChunk;
 use taste_core::{TasteError, TypeId};
-use taste_nn::{Adam, AdamConfig, LrSchedule, Matrix, Tape};
+use taste_nn::{Adam, AdamConfig, Forward, LrSchedule, Matrix, Tape};
 
 /// One user verdict on one detection.
 #[derive(Debug, Clone)]
@@ -52,9 +52,9 @@ fn verdict_loss(model: &Adtd, tape: &mut Tape, fb: &Feedback) -> Result<taste_nn
         .get(fb.column)
         .ok_or_else(|| TasteError::invalid(format!("feedback column {} out of range", fb.column)))?;
     let tokens: Vec<usize> = packed.tokens.iter().map(|&t| t as usize).collect();
-    let latents = model.encoder.forward_meta(tape, &model.store, &tokens);
+    let latents = model.encoder.forward_meta(tape, &model.store, &[&tokens]);
     let final_latent = *latents.last().expect("layers");
-    let row = gather_node_rows(tape, final_latent, &[marker]);
+    let row = tape.gather_rows(final_latent, &[marker]);
     let feats = tape.leaf(Matrix::row(fb.chunk.nonmeta[fb.column].clone()));
     let x = tape.hcat(row, feats);
     let logits = model.meta_head().forward(tape, &model.store, x);

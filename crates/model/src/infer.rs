@@ -6,12 +6,11 @@
 //! first table and its packed weights are built once, then reused for
 //! every table after it.
 //!
-//! [`Adtd`] has two bodies per operation: a single-sequence one and a
-//! fused block-diagonal one over a ragged batch. They are bit-identical,
-//! but the fused body costs more at small shapes, so the `*_batch`
-//! methods here pick between them from the number of chunks they are
-//! handed. This is the only place that choice is made; callers above
-//! hand over whatever chunks they have.
+//! [`Adtd`] has one body per operation, over a ragged batch of chunks;
+//! the `*_batch` methods here run it on this worker's executor over
+//! whatever chunks they are handed, and the single-chunk methods are
+//! batches of one. Nothing here — or anywhere — chooses between
+//! implementations.
 
 use crate::adtd::{Adtd, ContentBatchItem, MetaEncoding};
 use crate::prepare::TableChunk;
@@ -37,22 +36,20 @@ impl Inferencer {
         self.exec.kernel_threads()
     }
 
-    /// [`Adtd::encode_meta`] on this worker's executor.
+    /// [`Inferencer::encode_meta_batch`] over one chunk. The signature is
+    /// pinned by `perf/README.md` ("Pinned API").
     pub fn encode_meta(&mut self, model: &Adtd, chunk: &TableChunk) -> MetaEncoding {
-        model.encode_meta(&mut self.exec.session(&model.store), chunk)
+        self.encode_meta_batch(model, &[chunk]).pop().expect("one encoding per chunk")
     }
 
-    /// [`Adtd::predict_meta`] on this worker's executor.
-    pub fn predict_meta(
-        &mut self,
-        model: &Adtd,
-        enc: &MetaEncoding,
-        nonmeta: &[Vec<f32>],
-    ) -> Vec<Vec<f32>> {
-        model.predict_meta(&mut self.exec.session(&model.store), enc, nonmeta)
+    /// [`Inferencer::predict_meta_batch`] over one chunk. The signature is
+    /// pinned by `perf/README.md` ("Pinned API").
+    pub fn predict_meta(&mut self, model: &Adtd, enc: &MetaEncoding, nonmeta: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        self.predict_meta_batch(model, &[(enc, nonmeta)]).pop().expect("one result per chunk")
     }
 
-    /// [`Adtd::predict_content`] on this worker's executor.
+    /// [`Inferencer::predict_content_batch`] over one chunk. The signature
+    /// is pinned by `perf/README.md` ("Pinned API").
     pub fn predict_content(
         &mut self,
         model: &Adtd,
@@ -60,44 +57,34 @@ impl Inferencer {
         contents: &[Option<ColumnContent>],
         nonmeta: &[Vec<f32>],
     ) -> Vec<Option<Vec<f32>>> {
-        model.predict_content(&mut self.exec.session(&model.store), enc, contents, nonmeta)
+        self.predict_content_batch(model, &[(enc, contents, nonmeta)]).pop().expect("one result per chunk")
     }
 
-    /// Encodes many chunks' metadata, one cacheable [`MetaEncoding`] per
-    /// chunk in input order; bit-identical to looping
-    /// [`Inferencer::encode_meta`].
+    /// [`Adtd::encode_meta`] on this worker's executor: one cacheable
+    /// [`MetaEncoding`] per chunk, in input order.
     pub fn encode_meta_batch(&mut self, model: &Adtd, chunks: &[&TableChunk]) -> Vec<MetaEncoding> {
-        match chunks {
-            [chunk] => vec![self.encode_meta(model, chunk)],
-            _ => model.encode_meta_batched(&mut self.exec.session(&model.store), chunks),
-        }
+        model.encode_meta(&mut self.exec.session(&model.store), chunks)
     }
 
-    /// Classifies every column of every chunk from its metadata encoding;
-    /// bit-identical to looping [`Inferencer::predict_meta`].
+    /// [`Adtd::predict_meta`] on this worker's executor: every column of
+    /// every chunk classified from its metadata encoding.
     pub fn predict_meta_batch(
         &mut self,
         model: &Adtd,
         items: &[(&MetaEncoding, &[Vec<f32>])],
     ) -> Vec<Vec<Vec<f32>>> {
-        match items {
-            [(enc, nonmeta)] => vec![self.predict_meta(model, enc, nonmeta)],
-            _ => model.predict_meta_batched(&mut self.exec.session(&model.store), items),
-        }
+        model.predict_meta(&mut self.exec.session(&model.store), items)
     }
 
-    /// Runs the content tower over every chunk's scanned columns and
-    /// returns per-column verdicts in chunk order; bit-identical to
-    /// looping [`Inferencer::predict_content`].
+    /// [`Adtd::predict_content`] on this worker's executor: the content
+    /// tower over every chunk's scanned columns, per-column verdicts in
+    /// chunk order.
     pub fn predict_content_batch(
         &mut self,
         model: &Adtd,
         items: &[ContentBatchItem<'_>],
     ) -> Vec<Vec<Option<Vec<f32>>>> {
-        match items {
-            [(enc, contents, nonmeta)] => vec![self.predict_content(model, enc, contents, nonmeta)],
-            _ => model.predict_content_batched(&mut self.exec.session(&model.store), items),
-        }
+        model.predict_content(&mut self.exec.session(&model.store), items)
     }
 }
 
@@ -186,9 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_one_chunk_batches_match_the_fused_body() {
-        // Which body a batch runs on is decided from its size alone; the
-        // one-chunk shortcut must be invisible in the bytes.
+    fn empty_batches_are_empty_and_one_chunk_calls_are_batches_of_one() {
         let m = model();
         let mut inf = Inferencer::default();
         assert!(inf.encode_meta_batch(&m, &[]).is_empty());
@@ -197,21 +182,20 @@ mod tests {
 
         let c = chunk(3);
         let contents = contents_for(&c);
-        let mut exec = InferExec::new();
         let encs = inf.encode_meta_batch(&m, &[&c]);
-        let fused = m.encode_meta_batched(&mut exec.session(&m.store), &[&c]);
+        let enc = inf.encode_meta(&m, &c);
         assert_eq!(encs.len(), 1);
-        assert_eq!(encs[0].layer_latents, fused[0].layer_latents);
-        assert_eq!(encs[0].col_marker_pos, fused[0].col_marker_pos);
-        let meta_items = [(&encs[0], c.nonmeta.as_slice())];
+        assert_eq!(encs[0].layer_latents, enc.layer_latents);
+        assert_eq!(encs[0].col_marker_pos, enc.col_marker_pos);
         assert_eq!(
-            inf.predict_meta_batch(&m, &meta_items),
-            m.predict_meta_batched(&mut exec.session(&m.store), &meta_items)
+            inf.predict_meta_batch(&m, &[(&enc, c.nonmeta.as_slice())]),
+            vec![inf.predict_meta(&m, &enc, &c.nonmeta)]
         );
-        let content_items = [(&encs[0], contents.as_slice(), c.nonmeta.as_slice())];
         assert_eq!(
-            inf.predict_content_batch(&m, &content_items),
-            m.predict_content_batched(&mut exec.session(&m.store), &content_items)
+            inf.predict_content_batch(&m, &[(&enc, contents.as_slice(), c.nonmeta.as_slice())]),
+            vec![inf.predict_content(&m, &enc, &contents, &c.nonmeta)]
         );
+        // An all-`None` chunk runs no forward pass and predicts nothing.
+        assert_eq!(inf.predict_content(&m, &enc, &[None, None, None], &c.nonmeta), vec![None, None, None]);
     }
 }

@@ -20,8 +20,9 @@
 //!   classifier heads over shared towers, trained with multi-label BCE
 //!   under the automatic weighted multi-task loss (§4.3–4.4).
 //! * [`infer`] — the serving-side [`infer::Inferencer`]: a per-worker
-//!   handle owning a tape-free executor, and the one place that picks
-//!   between the single-sequence and fused model bodies.
+//!   handle owning a tape-free executor, on which it runs the one body
+//!   each model operation has — over a batch of chunks, or a batch of
+//!   one.
 //! * [`baselines`] — the TURL and Doduo analogs (single-tower,
 //!   content-dependent; §6.2) used for every comparison.
 //! * [`pretrain`] — Masked Language Model pre-training on the unlabeled

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use taste_core::TasteError;
 use taste_nn::losses::mlm_cross_entropy;
 use taste_nn::modules::Linear;
-use taste_nn::{Adam, AdamConfig, LrSchedule, ParamStore, Tape};
+use taste_nn::{Adam, AdamConfig, Forward, LrSchedule, ParamStore, Tape};
 use taste_tokenizer::vocab::Special;
 use taste_tokenizer::{Packer, Tokenizer};
 
@@ -138,7 +138,7 @@ pub fn pretrain_encoder(
                     continue;
                 }
                 let latent = encoder.forward_self(&mut tape, &store, &masked);
-                let rows = crate::adtd::gather_node_rows(&mut tape, latent, &positions);
+                let rows = tape.gather_rows(latent, &positions);
                 let logits = mlm_head.forward(&mut tape, &store, rows);
                 losses.push(mlm_cross_entropy(&mut tape, logits, originals));
             }
@@ -225,7 +225,7 @@ pub fn pretrain_encoder_resumable(
                 continue;
             }
             let latent = encoder.forward_self(&mut tape, &store, &masked);
-            let rows = crate::adtd::gather_node_rows(&mut tape, latent, &positions);
+            let rows = tape.gather_rows(latent, &positions);
             let logits = mlm_head.forward(&mut tape, &store, rows);
             losses.push(mlm_cross_entropy(&mut tape, logits, originals));
         }
@@ -280,7 +280,7 @@ pub fn mlm_eval_loss(
         }
         let mut tape = Tape::new();
         let latent = encoder.forward_self(&mut tape, store, &masked);
-        let rows = crate::adtd::gather_node_rows(&mut tape, latent, &positions);
+        let rows = tape.gather_rows(latent, &positions);
         let logits = mlm_head.forward(&mut tape, store, rows);
         let loss = mlm_cross_entropy(&mut tape, logits, originals);
         total += f64::from(tape.value(loss).item());

@@ -33,10 +33,9 @@
 use crate::adtd::Adtd;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use taste_core::checksum::{decode_record, encode_record, DecodeStep};
+use taste_core::checksum::{decode_record, encode_record, write_atomic, DecodeStep};
 use taste_core::TasteError;
 
 /// Bumped whenever the artifact layout changes incompatibly.
@@ -204,20 +203,8 @@ impl ModelRegistry {
     /// [`TasteError::Serde`] wrapping the underlying I/O failure.
     pub fn publish(&self, model: &Adtd, version: u64) -> Result<PathBuf, TasteError> {
         let path = self.path_for(version);
-        let tmp = path.with_extension(TEMP_EXT);
-        let io = |e: std::io::Error| {
-            TasteError::Serde(format!("model artifact {}: {e}", path.display()))
-        };
-        let mut f = fs::File::create(&tmp).map_err(io)?;
-        f.write_all(&encode_artifact(model, version)).map_err(io)?;
-        f.sync_all().map_err(io)?;
-        drop(f);
-        fs::rename(&tmp, &path).map_err(io)?;
-        if let Some(parent) = path.parent() {
-            if let Ok(d) = fs::File::open(parent) {
-                let _ = d.sync_all();
-            }
-        }
+        write_atomic(&path, &path.with_extension(TEMP_EXT), &encode_artifact(model, version))
+            .map_err(|e| TasteError::Serde(format!("model artifact {}: {e}", path.display())))?;
         Ok(path)
     }
 

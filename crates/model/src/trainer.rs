@@ -4,7 +4,7 @@
 //! weighted loss; gradients from both towers flow into the shared
 //! encoder. Baselines train with a single BCE.
 
-use crate::adtd::{rows_matrix, Adtd};
+use crate::adtd::Adtd;
 use crate::baselines::SingleTower;
 use crate::prepare::ModelInput;
 use crate::resilience::{ResilienceDriver, ResumableReport, StepOutcome, TrainResilience};
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use taste_core::TasteError;
 use taste_nn::checkpoint::TrainProgress;
 use taste_nn::losses::multilabel_bce;
-use taste_nn::{Adam, AdamConfig, LrSchedule, Tape};
+use taste_nn::{Adam, AdamConfig, LrSchedule, Matrix, Tape};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ pub fn train_adtd(model: &mut Adtd, inputs: &[ModelInput], cfg: &TrainConfig) ->
                 let input = inputs[i].shuffled(&mut rng);
                 let input = &input;
                 let fwd = model.forward_train(&mut tape, input, Some(&mut rng));
-                let targets = rows_matrix(&input.targets);
+                let targets = Matrix::from_rows(&input.targets);
                 meta_cols += input.targets.len();
                 meta_losses.push(tape.bce_with_logits_weighted_sum(fwd.meta_logits, targets, cfg.pos_weight));
                 if let Some(logits) = fwd.content_logits {
@@ -125,7 +125,7 @@ pub fn train_adtd(model: &mut Adtd, inputs: &[ModelInput], cfg: &TrainConfig) ->
                         .map(|&j| input.targets[j].clone())
                         .collect();
                     content_cols_total += sub.len();
-                    content_losses.push(tape.bce_with_logits_weighted_sum(logits, rows_matrix(&sub), cfg.pos_weight));
+                    content_losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&sub), cfg.pos_weight));
                 }
             }
             let meta_sum = sum_nodes(&mut tape, &meta_losses);
@@ -216,7 +216,7 @@ pub fn train_adtd_resumable(
             let input = inputs[i].shuffled(&mut st.rng);
             let input = &input;
             let fwd = model.forward_train(&mut tape, input, Some(&mut st.rng));
-            let targets = rows_matrix(&input.targets);
+            let targets = Matrix::from_rows(&input.targets);
             meta_cols += input.targets.len();
             meta_losses.push(tape.bce_with_logits_weighted_sum(fwd.meta_logits, targets, cfg.pos_weight));
             if let Some(logits) = fwd.content_logits {
@@ -226,7 +226,7 @@ pub fn train_adtd_resumable(
                     .map(|&j| input.targets[j].clone())
                     .collect();
                 content_cols_total += sub.len();
-                content_losses.push(tape.bce_with_logits_weighted_sum(logits, rows_matrix(&sub), cfg.pos_weight));
+                content_losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&sub), cfg.pos_weight));
             }
         }
         let meta_sum = sum_nodes(&mut tape, &meta_losses);
@@ -290,7 +290,7 @@ pub fn train_single_tower(
                 let input = &input;
                 let logits = model.forward_train(&mut tape, input);
                 cols += input.targets.len();
-                losses.push(tape.bce_with_logits_weighted_sum(logits, rows_matrix(&input.targets), cfg.pos_weight));
+                losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&input.targets), cfg.pos_weight));
             }
             let sum = sum_nodes(&mut tape, &losses);
             let loss = tape.scale(sum, 1.0 / cols.max(1) as f32);

@@ -38,9 +38,8 @@ use crate::optim::Adam;
 use crate::params::ParamStore;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use taste_core::checksum::{decode_record, encode_record, DecodeStep};
+use taste_core::checksum::{decode_record, encode_record, write_atomic, DecodeStep};
 use taste_core::rng::SplitMix64Rng;
 use taste_core::TasteError;
 
@@ -312,19 +311,8 @@ impl TrainCheckpoint {
     /// # Errors
     /// [`TasteError::Serde`] wrapping the underlying I/O failure.
     pub fn write_atomic(&self, path: &Path) -> Result<(), TasteError> {
-        let tmp = path.with_extension(TEMP_EXT);
-        let io = |e: std::io::Error| TasteError::Serde(format!("checkpoint {}: {e}", path.display()));
-        let mut f = fs::File::create(&tmp).map_err(io)?;
-        f.write_all(&self.encode()).map_err(io)?;
-        f.sync_all().map_err(io)?;
-        drop(f);
-        fs::rename(&tmp, path).map_err(io)?;
-        if let Some(parent) = path.parent() {
-            if let Ok(d) = fs::File::open(parent) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        write_atomic(path, &path.with_extension(TEMP_EXT), &self.encode())
+            .map_err(|e| TasteError::Serde(format!("checkpoint {}: {e}", path.display())))
     }
 
     /// Reads and decodes a checkpoint file.

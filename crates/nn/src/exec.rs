@@ -1,46 +1,49 @@
-//! Execution backends: the [`Forward`] trait abstracting the forward op
-//! set, and the tape-free [`InferExec`] serving backend.
+//! Execution backends: the [`Forward`] seam between model code and
+//! execution, its defining implementation on [`Tape`], and the tape-free
+//! [`InferExec`] serving backend.
 //!
 //! Training and serving have opposite needs. Training wants a recorded
 //! DAG it can differentiate — that is [`Tape`], which clones parameter
 //! matrices into leaf nodes and allocates a fresh [`Matrix`] per op so
 //! the backward pass can revisit every intermediate. Serving wants none
-//! of that: `predict_meta` / `predict_content` never call `backward`, so
-//! every tape node is pure overhead.
+//! of that: prediction never calls `backward`, so every tape node is
+//! pure overhead.
 //!
-//! [`Forward`] captures the op surface both paths share (matmul, adds,
-//! activations, layer norm, softmax, slicing, concatenation, gathers).
-//! Model forwards written against `impl Forward` run unchanged on either
-//! backend:
+//! [`Forward`] is the whole interface between the two: the 13 operations
+//! the modules and the model bodies emit, and nothing else. There is one
+//! body per model operation (a ragged, block-diagonal forward over a
+//! batch of sequences — one sequence is a batch of one), and it is
+//! written once against `impl Forward`:
 //!
-//! * [`Tape`] implements it by delegating to its recording constructors —
-//!   the training path is untouched.
-//! * [`InferExec`] evaluates eagerly into an arena of scratch buffers.
-//!   No DAG is built, parameter nodes are resolved as references into the
+//! * [`Tape`] implements the seam out of its own recording ops.
+//!   `linear` is `param · matmul · add_row`, `layer_norm_affine` is
+//!   `layer_norm_rows · mul_row · add_row`, `attn_blocks` is the per-head,
+//!   per-sequence slice / `matmul` / softmax / concatenate loop — each a
+//!   differentiable composition of primitives. Those compositions are the
+//!   **definition** of the 13 ops: training runs them, and every fused
+//!   serving kernel is compared with them, byte for byte.
+//! * [`ExecSession`] (a forward pass on an [`InferExec`]) evaluates each
+//!   op eagerly with one single-pass kernel into an arena of scratch
+//!   buffers. No DAG is built, parameters are read in place from the
 //!   [`ParamStore`] (never cloned), and buffers are recycled across
-//!   sessions, so a warmed executor performs no allocation at all on
-//!   steady-state prediction calls.
+//!   sessions, so a warmed executor allocates nothing on steady-state
+//!   prediction calls.
 //!
 //! Both backends draw on [`crate::kernels`], whose every matmul variant
 //! (plain lanes on the tape; packed, register-tiled and run-time
 //! dispatched when serving) performs the same per-element operation
 //! sequence, and they share the row kernels and activation scalars
-//! outright, so their forward values are bit-identical — the parity
-//! tests assert a 1e-5 tolerance but in practice observe exact equality.
+//! outright, so their forward values are bit-identical —
+//! `tests/exec_parity.rs` compares them on `f32` bits over random
+//! programs of the 13 ops.
 //!
-//! On top of the shared op set, [`Forward`] exposes *fused* composites
-//! (`linear`, `linear_act`, `softmax_rows_scaled`, `layer_norm_affine`,
-//! `matmul_bt`) with default implementations built from the primitives:
-//! the tape keeps recording the exact op sequence it always did, while
-//! [`ExecSession`] overrides them with single-pass kernels constructed to
-//! be bit-identical to the composed form. The serving executor also packs
-//! static weight matrices into SIMD-friendly column panels once and
-//! caches them per [`ParamId`] (validated against the store's
-//! `(uid, version)`, so online weight updates repack automatically), and
-//! can run its matmuls row-parallel — and attention parallel over
-//! (sequence, head) — on [`crate::pool::KernelPool`] when
-//! `kernel_threads > 1`, with results provably independent of the thread
-//! count.
+//! The serving executor also packs static weight matrices into
+//! SIMD-friendly column panels once and caches them per [`ParamId`]
+//! (validated against the store's `(uid, version)`, so online weight
+//! updates repack automatically), and can run its packed matmuls
+//! row-parallel — and attention parallel over (sequence, head) — on
+//! [`crate::pool::KernelPool`] when `kernel_threads > 1`, with results
+//! provably independent of the thread count.
 
 use crate::kernels::{self, Act, PackedB};
 use crate::matrix::Matrix;
@@ -49,218 +52,73 @@ use crate::tape::{NodeId, Tape};
 use std::collections::HashMap;
 
 /// The forward op set shared by the training ([`Tape`]) and serving
-/// ([`InferExec`]) backends.
+/// ([`InferExec`]) backends: exactly what the modules and model bodies
+/// emit. No method has a default body — a backend states all 13.
 ///
 /// Handles returned by one backend instance are only meaningful with
 /// that instance. Methods taking a [`ParamStore`] must receive the same
 /// store for every call within a session.
 pub trait Forward {
-    /// A constant / input leaf owning `value`.
-    fn leaf(&mut self, value: Matrix) -> NodeId;
-
-    /// A leaf referencing the trainable parameter `pid`.
-    fn param(&mut self, store: &ParamStore, pid: ParamId) -> NodeId;
+    /// The forward value of a node.
+    fn value(&self, id: NodeId) -> &Matrix;
 
     /// Embedding lookup: gathers `indices` rows of the parameter matrix.
     fn gather_param_rows(&mut self, store: &ParamStore, pid: ParamId, indices: &[usize]) -> NodeId;
 
-    /// The forward value of a node.
-    fn value(&self, id: NodeId) -> &Matrix;
-
-    /// Matrix product.
-    fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId;
-
     /// Elementwise sum of two same-shape nodes.
     fn add(&mut self, a: NodeId, b: NodeId) -> NodeId;
-
-    /// Elementwise product of two same-shape nodes.
-    fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId;
-
-    /// Broadcast add of a `[1, n]` row vector to every row of `[m, n]`.
-    fn add_row(&mut self, x: NodeId, row: NodeId) -> NodeId;
-
-    /// Broadcast multiply of every row of `[m, n]` by a `[1, n]` row.
-    fn mul_row(&mut self, x: NodeId, row: NodeId) -> NodeId;
-
-    /// Scalar scaling.
-    fn scale(&mut self, x: NodeId, alpha: f32) -> NodeId;
-
-    /// Rectified linear unit.
-    fn relu(&mut self, x: NodeId) -> NodeId;
-
-    /// GELU activation (tanh approximation, as BERT uses).
-    fn gelu(&mut self, x: NodeId) -> NodeId;
-
-    /// Logistic sigmoid.
-    fn sigmoid(&mut self, x: NodeId) -> NodeId;
-
-    /// Hyperbolic tangent.
-    fn tanh(&mut self, x: NodeId) -> NodeId;
-
-    /// Row-wise softmax.
-    fn softmax_rows(&mut self, x: NodeId) -> NodeId;
-
-    /// Row-wise layer normalization without the affine transform.
-    fn layer_norm_rows(&mut self, x: NodeId, eps: f32) -> NodeId;
-
-    /// Vertical concatenation (token axis).
-    fn vcat(&mut self, a: NodeId, b: NodeId) -> NodeId;
 
     /// Horizontal concatenation (feature axis).
     fn hcat(&mut self, a: NodeId, b: NodeId) -> NodeId;
 
-    /// Copy of rows `[start, start+len)`.
-    fn slice_rows(&mut self, x: NodeId, start: usize, len: usize) -> NodeId;
+    /// Logistic sigmoid.
+    fn sigmoid(&mut self, x: NodeId) -> NodeId;
 
-    /// Copy of columns `[start, start+len)`.
-    fn slice_cols(&mut self, x: NodeId, start: usize, len: usize) -> NodeId;
+    /// A constant leaf holding a copy of `value`.
+    fn leaf_copy(&mut self, value: &Matrix) -> NodeId;
 
-    /// Transpose.
-    fn transpose(&mut self, x: NodeId) -> NodeId;
-
-    /// Column means: `[m, n] -> [1, n]`.
-    fn mean_rows(&mut self, x: NodeId) -> NodeId;
-
-    /// A leaf holding a copy of `value`. Backends with reusable buffers
-    /// override this to copy into recycled storage instead of cloning.
-    fn leaf_copy(&mut self, value: &Matrix) -> NodeId {
-        self.leaf(value.clone())
-    }
-
-    /// A leaf holding the given feature rows stacked into a matrix — the
-    /// backend-aware replacement for building a [`Matrix`] out of
-    /// per-column feature vectors and then cloning it into a leaf.
+    /// A constant leaf holding the given rows stacked into a matrix.
     ///
     /// # Panics
     /// Panics when `rows` is empty or ragged.
-    fn leaf_rows(&mut self, rows: &[&[f32]]) -> NodeId {
-        self.leaf(stack_rows(rows))
-    }
-
-    /// A leaf holding `indices` rows gathered from `src`.
-    fn leaf_gather(&mut self, src: &Matrix, indices: &[usize]) -> NodeId {
-        self.leaf(src.gather_rows(indices))
-    }
+    fn leaf_rows(&mut self, rows: &[&[f32]]) -> NodeId;
 
     /// Gathers `indices` rows of a node into a `[indices.len(), cols]`
-    /// node. The default builds a slice/vcat chain (differentiable on a
-    /// tape); eager backends override it with a single gather.
+    /// node.
     ///
     /// # Panics
-    /// Panics when `indices` is empty.
-    fn gather_rows(&mut self, x: NodeId, indices: &[usize]) -> NodeId {
-        assert!(!indices.is_empty(), "cannot gather zero rows");
-        let mut acc: Option<NodeId> = None;
-        for &p in indices {
-            let row = self.slice_rows(x, p, 1);
-            acc = Some(match acc {
-                Some(prev) => self.vcat(prev, row),
-                None => row,
-            });
-        }
-        acc.expect("non-empty indices")
-    }
+    /// Panics when `indices` is empty or out of range.
+    fn gather_rows(&mut self, x: NodeId, indices: &[usize]) -> NodeId;
 
-    /// Vertical concatenation of many nodes — the batch-assembly
-    /// primitive behind micro-batched serving, where B column sequences
-    /// are row-stacked into one node. The default folds [`Forward::vcat`]
-    /// pairwise (differentiable on a tape); eager backends override it
-    /// with a single-allocation copy.
-    ///
-    /// # Panics
-    /// Panics when `parts` is empty.
-    fn vcat_all(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "cannot vcat zero parts");
-        let mut acc = parts[0];
-        for &p in &parts[1..] {
-            acc = self.vcat(acc, p);
-        }
-        acc
-    }
-
-    // ---- fused composites --------------------------------------------
-    //
-    // Defaults compose the primitives above, so the tape records the
-    // exact op sequence it always did (and stays differentiable). The
-    // serving backend overrides them with single-pass kernels that are
-    // bit-identical to the composed form.
-
-    /// Applies an [`Act`] activation elementwise ([`Act::Ident`] is the
-    /// identity and returns `x` itself).
-    fn activation(&mut self, x: NodeId, act: Act) -> NodeId {
-        match act {
-            Act::Ident => x,
-            Act::Relu => self.relu(x),
-            Act::Gelu => self.gelu(x),
-            Act::Sigmoid => self.sigmoid(x),
-            Act::Tanh => self.tanh(x),
-        }
-    }
-
-    /// Affine map `x @ W + b` with `W`, `b` trainable parameters.
-    fn linear(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId) -> NodeId {
-        let wn = self.param(store, w);
-        let bn = self.param(store, b);
-        let y = self.matmul(x, wn);
-        self.add_row(y, bn)
-    }
-
-    /// `act(x @ W + b)` — the full dense-layer forward in one call.
-    fn linear_act(
-        &mut self,
-        store: &ParamStore,
-        x: NodeId,
-        w: ParamId,
-        b: ParamId,
-        act: Act,
-    ) -> NodeId {
-        let y = self.linear(store, x, w, b);
-        self.activation(y, act)
-    }
-
-    /// `a @ b^T` — the attention-score product. The default materializes
-    /// the transpose; the serving backend runs a transpose-free kernel.
-    fn matmul_bt(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let bt = self.transpose(b);
-        self.matmul(a, bt)
-    }
-
-    /// `softmax_rows(alpha * x)` — scaled attention scores.
-    fn softmax_rows_scaled(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        let s = self.scale(x, alpha);
-        self.softmax_rows(s)
-    }
-
-    /// Vertical concatenation of row *ranges* `(node, start, len)` —
-    /// the key/value assembly primitive of batched cross-attention,
-    /// where each sequence's KV stack interleaves rows of different
-    /// nodes. The default slices each range out and folds
-    /// [`Forward::vcat_all`] (differentiable on a tape); the serving
-    /// backend overrides it with a single-allocation copy straight from
-    /// the source buffers.
+    /// Vertical concatenation of row *ranges* `(node, start, len)` — the
+    /// key/value assembly primitive of cross-attention, where each
+    /// sequence's KV stack interleaves rows of different nodes.
     ///
     /// # Panics
     /// Panics when `parts` is empty or a range is out of bounds.
-    fn vcat_rows(&mut self, parts: &[(NodeId, usize, usize)]) -> NodeId {
-        assert!(!parts.is_empty(), "cannot vcat zero ranges");
-        let sliced: Vec<NodeId> = parts.iter().map(|&(p, start, len)| rows_or_whole(self, p, start, len)).collect();
-        self.vcat_all(&sliced)
-    }
+    fn vcat_rows(&mut self, parts: &[(NodeId, usize, usize)]) -> NodeId;
+
+    /// Affine map `x @ W + b` with `W`, `b` trainable parameters.
+    fn linear(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId) -> NodeId;
+
+    /// `act(x @ W + b)` — the full dense-layer forward in one call.
+    fn linear_act(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId, act: Act) -> NodeId;
+
+    /// `layer_norm(x) * gain + bias` — the full LayerNorm module forward.
+    fn layer_norm_affine(
+        &mut self,
+        store: &ParamStore,
+        x: NodeId,
+        gain: ParamId,
+        bias: ParamId,
+        eps: f32,
+    ) -> NodeId;
 
     /// Block-diagonal multi-head attention over row-stacked sequences:
     /// `q` is the projected query stack `[Σ q_lens, dim]`, `k`/`v` the
     /// projected key/value stacks `[Σ kv_lens, dim]`, and sequence `b`'s
     /// queries attend only to sequence `b`'s keys/values. Returns the
     /// head-merged context `[Σ q_lens, dim]` (pre-output-projection).
-    ///
-    /// The default composes the primitive ops — per head, column slices
-    /// of the stacks, per-sequence row slices (none when one sequence is
-    /// the whole stack), `matmul_bt`, `softmax_rows_scaled`, `matmul`,
-    /// then `vcat_all`/`hcat` assembly — so the tape records the exact
-    /// differentiable sequence. The serving backend overrides it with
-    /// [`crate::kernels::attn_blocks_into`], which reads the stacks in
-    /// place and writes the merged context directly: bit-identical, with
-    /// no slicing or concatenation.
     ///
     /// # Panics
     /// Panics when the batch is empty, the length vectors disagree, or
@@ -275,40 +133,97 @@ pub trait Forward {
         kv_lens: &[usize],
         heads: usize,
         scale: f32,
-    ) -> NodeId {
-        assert_eq!(q_lens.len(), kv_lens.len(), "per-sequence length mismatch");
-        assert!(!q_lens.is_empty(), "cannot attend over an empty batch");
-        let dim = self.value(q).cols();
-        assert!(heads > 0 && dim.is_multiple_of(heads), "heads {heads} must divide dim {dim}");
-        let dh = dim / heads;
-        let mut merged: Option<NodeId> = None;
-        let mut blocks = Vec::with_capacity(q_lens.len());
-        for h in 0..heads {
-            let qh = self.slice_cols(q, h * dh, dh);
-            let kh = self.slice_cols(k, h * dh, dh);
-            let vh = self.slice_cols(v, h * dh, dh);
-            blocks.clear();
-            let (mut qo, mut ko) = (0, 0);
-            for (&ql, &kl) in q_lens.iter().zip(kv_lens) {
-                let qb = rows_or_whole(self, qh, qo, ql);
-                let kb = rows_or_whole(self, kh, ko, kl);
-                let vb = rows_or_whole(self, vh, ko, kl);
-                let scores = self.matmul_bt(qb, kb);
-                let attn = self.softmax_rows_scaled(scores, scale);
-                blocks.push(self.matmul(attn, vb));
-                qo += ql;
-                ko += kl;
-            }
-            let out = self.vcat_all(&blocks);
-            merged = Some(match merged {
-                Some(prev) => self.hcat(prev, out),
-                None => out,
-            });
-        }
-        merged.expect("at least one head")
+    ) -> NodeId;
+}
+
+/// Rows `[start, start+len)` of `x` — `x` itself, with nothing recorded,
+/// when the range is the whole node, so a one-sequence batch records no
+/// slice at all.
+fn rows_or_whole(tape: &mut Tape, x: NodeId, start: usize, len: usize) -> NodeId {
+    if start == 0 && len == tape.value(x).rows() {
+        x
+    } else {
+        tape.slice_rows(x, start, len)
+    }
+}
+
+/// Folds [`Tape::vcat`] over `parts`, left to right.
+fn vcat_fold(tape: &mut Tape, parts: &[NodeId]) -> NodeId {
+    let (&first, rest) = parts.split_first().expect("cannot vcat zero parts");
+    rest.iter().fold(first, |acc, &p| tape.vcat(acc, p))
+}
+
+/// The definition of the seam: every op as a differentiable composition
+/// of the tape's recording primitives. Training runs these; the fused
+/// kernels of [`ExecSession`] are tested against them.
+impl Forward for Tape {
+    fn value(&self, id: NodeId) -> &Matrix {
+        Tape::value(self, id)
     }
 
-    /// `layer_norm(x) * gain + bias` — the full LayerNorm module forward.
+    fn gather_param_rows(&mut self, store: &ParamStore, pid: ParamId, indices: &[usize]) -> NodeId {
+        Tape::gather_param_rows(self, store, pid, indices)
+    }
+
+    fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        Tape::add(self, a, b)
+    }
+
+    fn hcat(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        Tape::hcat(self, a, b)
+    }
+
+    fn sigmoid(&mut self, x: NodeId) -> NodeId {
+        Tape::sigmoid(self, x)
+    }
+
+    fn leaf_copy(&mut self, value: &Matrix) -> NodeId {
+        self.leaf(value.clone())
+    }
+
+    fn leaf_rows(&mut self, rows: &[&[f32]]) -> NodeId {
+        self.leaf(Matrix::from_rows(rows))
+    }
+
+    /// A slice/vcat chain, one row at a time.
+    fn gather_rows(&mut self, x: NodeId, indices: &[usize]) -> NodeId {
+        assert!(!indices.is_empty(), "cannot gather zero rows");
+        let mut acc: Option<NodeId> = None;
+        for &p in indices {
+            let row = self.slice_rows(x, p, 1);
+            acc = Some(match acc {
+                Some(prev) => self.vcat(prev, row),
+                None => row,
+            });
+        }
+        acc.expect("non-empty indices")
+    }
+
+    /// Slices each range out (none for a whole node), then folds `vcat`.
+    fn vcat_rows(&mut self, parts: &[(NodeId, usize, usize)]) -> NodeId {
+        assert!(!parts.is_empty(), "cannot vcat zero ranges");
+        let sliced: Vec<NodeId> = parts.iter().map(|&(p, start, len)| rows_or_whole(self, p, start, len)).collect();
+        vcat_fold(self, &sliced)
+    }
+
+    fn linear(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId) -> NodeId {
+        let wn = self.param(store, w);
+        let bn = self.param(store, b);
+        let y = self.matmul(x, wn);
+        self.add_row(y, bn)
+    }
+
+    fn linear_act(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId, act: Act) -> NodeId {
+        let y = Forward::linear(self, store, x, w, b);
+        match act {
+            Act::Ident => y,
+            Act::Relu => self.relu(y),
+            Act::Gelu => self.gelu(y),
+            Act::Sigmoid => Tape::sigmoid(self, y),
+            Act::Tanh => self.tanh(y),
+        }
+    }
+
     fn layer_norm_affine(
         &mut self,
         store: &ParamStore,
@@ -323,127 +238,54 @@ pub trait Forward {
         let scaled = self.mul_row(normed, g);
         self.add_row(scaled, b)
     }
-}
 
-/// Rows `[start, start+len)` of `x` — `x` itself, with no copy recorded,
-/// when the range is the whole node. The composed defaults use this so a
-/// one-sequence batch costs the tape nothing over the unbatched ops.
-fn rows_or_whole<E: Forward + ?Sized>(ex: &mut E, x: NodeId, start: usize, len: usize) -> NodeId {
-    if start == 0 && len == ex.value(x).rows() {
-        x
-    } else {
-        ex.slice_rows(x, start, len)
+    /// Per head: column slices of the stacks, per-sequence row slices
+    /// (none when one sequence is the whole stack), `q @ kᵀ` through an
+    /// explicit transpose, `scale` then `softmax_rows`, `@ v`, then
+    /// `vcat` over sequences and `hcat` over heads.
+    fn attn_blocks(
+        &mut self,
+        q: NodeId,
+        k: NodeId,
+        v: NodeId,
+        q_lens: &[usize],
+        kv_lens: &[usize],
+        heads: usize,
+        scale: f32,
+    ) -> NodeId {
+        assert_eq!(q_lens.len(), kv_lens.len(), "per-sequence length mismatch");
+        assert!(!q_lens.is_empty(), "cannot attend over an empty batch");
+        let dim = Tape::value(self, q).cols();
+        assert!(heads > 0 && dim.is_multiple_of(heads), "heads {heads} must divide dim {dim}");
+        let dh = dim / heads;
+        let mut merged: Option<NodeId> = None;
+        let mut blocks = Vec::with_capacity(q_lens.len());
+        for h in 0..heads {
+            let qh = self.slice_cols(q, h * dh, dh);
+            let kh = self.slice_cols(k, h * dh, dh);
+            let vh = self.slice_cols(v, h * dh, dh);
+            blocks.clear();
+            let (mut qo, mut ko) = (0, 0);
+            for (&ql, &kl) in q_lens.iter().zip(kv_lens) {
+                let qb = rows_or_whole(self, qh, qo, ql);
+                let kb = rows_or_whole(self, kh, ko, kl);
+                let vb = rows_or_whole(self, vh, ko, kl);
+                let kt = self.transpose(kb);
+                let scores = self.matmul(qb, kt);
+                let scaled = self.scale(scores, scale);
+                let attn = self.softmax_rows(scaled);
+                blocks.push(self.matmul(attn, vb));
+                qo += ql;
+                ko += kl;
+            }
+            let out = vcat_fold(self, &blocks);
+            merged = Some(match merged {
+                Some(prev) => Tape::hcat(self, prev, out),
+                None => out,
+            });
+        }
+        merged.expect("at least one head")
     }
-}
-
-/// Stacks row slices into a dense matrix.
-fn stack_rows(rows: &[&[f32]]) -> Matrix {
-    assert!(!rows.is_empty(), "cannot stack zero rows");
-    let cols = rows[0].len();
-    let mut out = Matrix::zeros(rows.len(), cols);
-    for (r, src) in rows.iter().enumerate() {
-        assert_eq!(src.len(), cols, "ragged feature rows");
-        out.row_slice_mut(r).copy_from_slice(src);
-    }
-    out
-}
-
-impl Forward for Tape {
-    fn leaf(&mut self, value: Matrix) -> NodeId {
-        Tape::leaf(self, value)
-    }
-
-    fn param(&mut self, store: &ParamStore, pid: ParamId) -> NodeId {
-        Tape::param(self, store, pid)
-    }
-
-    fn gather_param_rows(&mut self, store: &ParamStore, pid: ParamId, indices: &[usize]) -> NodeId {
-        Tape::gather_param_rows(self, store, pid, indices)
-    }
-
-    fn value(&self, id: NodeId) -> &Matrix {
-        Tape::value(self, id)
-    }
-
-    fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        Tape::matmul(self, a, b)
-    }
-
-    fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        Tape::add(self, a, b)
-    }
-
-    fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        Tape::mul(self, a, b)
-    }
-
-    fn add_row(&mut self, x: NodeId, row: NodeId) -> NodeId {
-        Tape::add_row(self, x, row)
-    }
-
-    fn mul_row(&mut self, x: NodeId, row: NodeId) -> NodeId {
-        Tape::mul_row(self, x, row)
-    }
-
-    fn scale(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        Tape::scale(self, x, alpha)
-    }
-
-    fn relu(&mut self, x: NodeId) -> NodeId {
-        Tape::relu(self, x)
-    }
-
-    fn gelu(&mut self, x: NodeId) -> NodeId {
-        Tape::gelu(self, x)
-    }
-
-    fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        Tape::sigmoid(self, x)
-    }
-
-    fn tanh(&mut self, x: NodeId) -> NodeId {
-        Tape::tanh(self, x)
-    }
-
-    fn softmax_rows(&mut self, x: NodeId) -> NodeId {
-        Tape::softmax_rows(self, x)
-    }
-
-    fn layer_norm_rows(&mut self, x: NodeId, eps: f32) -> NodeId {
-        Tape::layer_norm_rows(self, x, eps)
-    }
-
-    fn vcat(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        Tape::vcat(self, a, b)
-    }
-
-    fn hcat(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        Tape::hcat(self, a, b)
-    }
-
-    fn slice_rows(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
-        Tape::slice_rows(self, x, start, len)
-    }
-
-    fn slice_cols(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
-        Tape::slice_cols(self, x, start, len)
-    }
-
-    fn transpose(&mut self, x: NodeId) -> NodeId {
-        Tape::transpose(self, x)
-    }
-
-    fn mean_rows(&mut self, x: NodeId) -> NodeId {
-        Tape::mean_rows(self, x)
-    }
-}
-
-/// Where a session node's value lives: a recycled arena buffer, or a
-/// parameter resolved by reference (never copied).
-#[derive(Clone, Copy)]
-enum Slot {
-    Buf(usize),
-    Param(ParamId),
 }
 
 /// A packed weight with the store identity/version it was packed from.
@@ -460,15 +302,17 @@ struct PackedEntry {
 /// worker thread — because its buffers persist across
 /// [`InferExec::session`] calls: the first prediction sizes the arena and
 /// every subsequent same-shaped prediction runs allocation-free. Weight
-/// matrices used as matmul right-hand sides are additionally packed into
-/// SIMD column panels once per worker and cached across sessions (serving
-/// weights are static); the cache is validated against the parameter
-/// store's `(uid, version)`, so swapping stores or updating weights
-/// online repacks lazily instead of serving stale panels.
+/// matrices are additionally packed into SIMD column panels once per
+/// worker and cached across sessions (serving weights are static); the
+/// cache is validated against the parameter store's `(uid, version)`, so
+/// swapping stores or updating weights online repacks lazily instead of
+/// serving stale panels.
 #[derive(Default)]
 pub struct InferExec {
+    /// The arena. Every op of a session writes one buffer, in order, so
+    /// node `i` of the session *is* `bufs[i]`.
     bufs: Vec<Matrix>,
-    slots: Vec<Slot>,
+    /// Nodes computed so far in the current session.
     live: usize,
     /// Kernel thread count (0 is treated as 1 so `Default` stays derived).
     threads: usize,
@@ -481,20 +325,20 @@ impl InferExec {
         InferExec::default()
     }
 
-    /// An empty executor whose matmuls may use up to `threads` threads.
+    /// An empty executor whose kernels may use up to `threads` threads.
     pub fn with_kernel_threads(threads: usize) -> InferExec {
         let mut exec = InferExec::default();
         exec.set_kernel_threads(threads);
         exec
     }
 
-    /// Sets the matmul thread budget (clamped to at least 1). Results are
+    /// Sets the kernel thread budget (clamped to at least 1). Results are
     /// bit-identical for every setting; this only trades latency.
     pub fn set_kernel_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 
-    /// The effective matmul thread budget.
+    /// The effective kernel thread budget.
     pub fn kernel_threads(&self) -> usize {
         self.threads.max(1)
     }
@@ -509,7 +353,6 @@ impl InferExec {
     /// weights persist (and are revalidated lazily against `store`).
     pub fn session<'s>(&'s mut self, store: &'s ParamStore) -> ExecSession<'s> {
         self.live = 0;
-        self.slots.clear();
         ExecSession { exec: self, store }
     }
 
@@ -517,17 +360,6 @@ impl InferExec {
     /// repeated same-shape sessions demonstrates buffer reuse).
     pub fn buffer_count(&self) -> usize {
         self.bufs.len()
-    }
-
-    fn alloc(&mut self, rows: usize, cols: usize) -> usize {
-        let idx = self.live;
-        if idx == self.bufs.len() {
-            self.bufs.push(Matrix::zeros(rows, cols));
-        } else {
-            self.bufs[idx].reset_shape(rows, cols);
-        }
-        self.live += 1;
-        idx
     }
 
     /// Guarantees a current packed copy of `pid`'s value. The version
@@ -558,72 +390,42 @@ pub struct ExecSession<'s> {
 
 impl ExecSession<'_> {
     fn get(&self, id: NodeId) -> &Matrix {
-        match self.exec.slots[id.index()] {
-            Slot::Buf(i) => &self.exec.bufs[i],
-            Slot::Param(p) => self.store.value(p),
-        }
+        assert!(id.index() < self.exec.live, "node from another session");
+        &self.exec.bufs[id.index()]
     }
 
-    fn push_slot(&mut self, slot: Slot) -> NodeId {
-        self.exec.slots.push(slot);
-        NodeId::from_index(self.exec.slots.len() - 1)
-    }
-
-    /// Allocates a `[rows, cols]` output buffer, lets `f` fill it (the
-    /// buffer contents are unspecified on entry — `f` must overwrite
-    /// every element), and returns its node. The buffer is temporarily
-    /// moved out of the arena so `f` can read other nodes through
-    /// `&self` while writing the output.
+    /// Takes the next arena buffer as `[rows, cols]`, lets `f` fill it
+    /// (its contents are unspecified on entry — `f` must overwrite every
+    /// element), and returns its node. The buffer is moved out of the
+    /// arena meanwhile so `f` can read other nodes through `&self`.
     fn compute(&mut self, rows: usize, cols: usize, f: impl FnOnce(&Self, &mut Matrix)) -> NodeId {
-        let oi = self.exec.alloc(rows, cols);
-        let mut out = std::mem::take(&mut self.exec.bufs[oi]);
+        let idx = self.exec.live;
+        if idx == self.exec.bufs.len() {
+            self.exec.bufs.push(Matrix::default());
+        }
+        let mut out = std::mem::take(&mut self.exec.bufs[idx]);
+        out.reset_shape(rows, cols);
         f(self, &mut out);
         debug_assert!(out.all_finite(), "non-finite forward value");
-        self.exec.bufs[oi] = out;
-        self.push_slot(Slot::Buf(oi))
+        self.exec.bufs[idx] = out;
+        self.exec.live += 1;
+        NodeId::from_index(idx)
     }
 
-    fn act_into(&mut self, x: NodeId, act: Act) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        self.compute(rows, cols, |s, out| {
-            out.copy_from(s.get(x));
-            act.apply_slice(out.as_mut_slice());
-        })
-    }
-
-    fn zip_into(&mut self, a: NodeId, b: NodeId, f: impl Fn(f32, f32) -> f32) -> NodeId {
-        let (rows, cols) = self.get(a).shape();
-        assert_eq!(self.get(b).shape(), (rows, cols), "elementwise shape mismatch");
-        self.compute(rows, cols, |s, out| {
-            let av = s.get(a).as_slice();
-            let bv = s.get(b).as_slice();
-            for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(av).zip(bv) {
-                *o = f(x, y);
-            }
-        })
+    /// Ops read parameters from the session's store; `store` is what the
+    /// caller handed the op and must be the same one.
+    fn check_store(&self, store: &ParamStore) {
+        debug_assert!(std::ptr::eq(store, self.store), "ops must use the session's store");
     }
 }
 
 impl Forward for ExecSession<'_> {
-    fn leaf(&mut self, value: Matrix) -> NodeId {
-        self.leaf_copy(&value)
-    }
-
-    fn param(&mut self, store: &ParamStore, pid: ParamId) -> NodeId {
-        debug_assert!(
-            std::ptr::eq(store, self.store),
-            "param() must use the session's store"
-        );
-        let _ = store;
-        self.push_slot(Slot::Param(pid))
+    fn value(&self, id: NodeId) -> &Matrix {
+        self.get(id)
     }
 
     fn gather_param_rows(&mut self, store: &ParamStore, pid: ParamId, indices: &[usize]) -> NodeId {
-        debug_assert!(
-            std::ptr::eq(store, self.store),
-            "gather_param_rows() must use the session's store"
-        );
-        let _ = store;
+        self.check_store(store);
         let cols = self.store.value(pid).cols();
         self.compute(indices.len(), cols, |s, out| {
             let table = s.store.value(pid);
@@ -633,116 +435,15 @@ impl Forward for ExecSession<'_> {
         })
     }
 
-    fn value(&self, id: NodeId) -> &Matrix {
-        self.get(id)
-    }
-
-    fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let rows = self.get(a).rows();
-        let cols = self.get(b).cols();
-        let threads = self.exec.kernel_threads();
-        // A parameter right-hand side is a static serving weight: run the
-        // packed-panel kernel against the cached pack.
-        if let Slot::Param(pid) = self.exec.slots[b.index()] {
-            self.exec.ensure_packed(self.store, pid);
-            return self.compute(rows, cols, |s, out| {
-                let pb = &s.exec.packed[&pid].panels;
-                kernels::matmul_packed_into(s.get(a), pb, None, Act::Ident, threads, out)
-            });
-        }
-        self.compute(rows, cols, |s, out| {
-            kernels::matmul_into_mt(s.get(a), s.get(b), threads, out)
-        })
-    }
-
     fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.zip_into(a, b, |x, y| x + y)
-    }
-
-    fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.zip_into(a, b, |x, y| x * y)
-    }
-
-    fn add_row(&mut self, x: NodeId, row: NodeId) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        let rv = self.get(row);
-        assert_eq!(rv.rows(), 1, "add_row: rhs must be a row vector");
-        assert_eq!(cols, rv.cols(), "add_row: column mismatch");
+        let (rows, cols) = self.get(a).shape();
+        assert_eq!(self.get(b).shape(), (rows, cols), "elementwise shape mismatch");
         self.compute(rows, cols, |s, out| {
-            let rvs = s.get(row).as_slice();
-            for r in 0..rows {
-                let src = s.get(x).row_slice(r);
-                for ((o, &v), &b) in out.row_slice_mut(r).iter_mut().zip(src).zip(rvs) {
-                    *o = v + b;
-                }
+            let av = s.get(a).as_slice();
+            let bv = s.get(b).as_slice();
+            for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(av).zip(bv) {
+                *o = x + y;
             }
-        })
-    }
-
-    fn mul_row(&mut self, x: NodeId, row: NodeId) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        let rv = self.get(row);
-        assert_eq!(rv.rows(), 1, "mul_row: rhs must be a row vector");
-        assert_eq!(cols, rv.cols(), "mul_row: column mismatch");
-        self.compute(rows, cols, |s, out| {
-            let rvs = s.get(row).as_slice();
-            for r in 0..rows {
-                let src = s.get(x).row_slice(r);
-                for ((o, &v), &b) in out.row_slice_mut(r).iter_mut().zip(src).zip(rvs) {
-                    *o = v * b;
-                }
-            }
-        })
-    }
-
-    fn scale(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        self.compute(rows, cols, |s, out| {
-            for (o, &v) in out.as_mut_slice().iter_mut().zip(s.get(x).as_slice()) {
-                *o = v * alpha;
-            }
-        })
-    }
-
-    fn relu(&mut self, x: NodeId) -> NodeId {
-        self.act_into(x, Act::Relu)
-    }
-
-    fn gelu(&mut self, x: NodeId) -> NodeId {
-        self.act_into(x, Act::Gelu)
-    }
-
-    fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        self.act_into(x, Act::Sigmoid)
-    }
-
-    fn tanh(&mut self, x: NodeId) -> NodeId {
-        self.act_into(x, Act::Tanh)
-    }
-
-    fn softmax_rows(&mut self, x: NodeId) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        self.compute(rows, cols, |s, out| {
-            out.copy_from(s.get(x));
-            out.softmax_rows_inplace();
-        })
-    }
-
-    fn layer_norm_rows(&mut self, x: NodeId, eps: f32) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        self.compute(rows, cols, |s, out| {
-            out.copy_from(s.get(x));
-            out.layer_norm_rows_inplace(eps);
-        })
-    }
-
-    fn vcat(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ar, cols) = self.get(a).shape();
-        let (br, bc) = self.get(b).shape();
-        assert_eq!(cols, bc, "vcat column mismatch");
-        self.compute(ar + br, cols, |s, out| {
-            out.as_mut_slice()[..ar * cols].copy_from_slice(s.get(a).as_slice());
-            out.as_mut_slice()[ar * cols..].copy_from_slice(s.get(b).as_slice());
         })
     }
 
@@ -759,52 +460,11 @@ impl Forward for ExecSession<'_> {
         })
     }
 
-    fn slice_rows(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
+    fn sigmoid(&mut self, x: NodeId) -> NodeId {
         let (rows, cols) = self.get(x).shape();
-        assert!(start + len <= rows, "slice_rows out of range");
-        self.compute(len, cols, |s, out| {
-            let src = &s.get(x).as_slice()[start * cols..(start + len) * cols];
-            out.as_mut_slice().copy_from_slice(src);
-        })
-    }
-
-    fn slice_cols(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        assert!(start + len <= cols, "slice_cols out of range");
-        self.compute(rows, len, |s, out| {
-            for r in 0..rows {
-                let src = &s.get(x).row_slice(r)[start..start + len];
-                out.row_slice_mut(r).copy_from_slice(src);
-            }
-        })
-    }
-
-    fn transpose(&mut self, x: NodeId) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        self.compute(cols, rows, |s, out| {
-            let src = s.get(x);
-            for r in 0..rows {
-                for (c, &v) in src.row_slice(r).iter().enumerate() {
-                    out.set(c, r, v);
-                }
-            }
-        })
-    }
-
-    fn mean_rows(&mut self, x: NodeId) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        let m = rows as f32;
-        self.compute(1, cols, |s, out| {
-            out.fill_zero();
-            let src = s.get(x);
-            for r in 0..rows {
-                for (o, &v) in out.as_mut_slice().iter_mut().zip(src.row_slice(r)) {
-                    *o += v;
-                }
-            }
-            for o in out.as_mut_slice() {
-                *o /= m;
-            }
+        self.compute(rows, cols, |s, out| {
+            out.copy_from(s.get(x));
+            Act::Sigmoid.apply_slice(out.as_mut_slice());
         })
     }
 
@@ -824,14 +484,6 @@ impl Forward for ExecSession<'_> {
         })
     }
 
-    fn leaf_gather(&mut self, src: &Matrix, indices: &[usize]) -> NodeId {
-        self.compute(indices.len(), src.cols(), |_, out| {
-            for (r, &i) in indices.iter().enumerate() {
-                out.row_slice_mut(r).copy_from_slice(src.row_slice(i));
-            }
-        })
-    }
-
     fn gather_rows(&mut self, x: NodeId, indices: &[usize]) -> NodeId {
         assert!(!indices.is_empty(), "cannot gather zero rows");
         let (rows, cols) = self.get(x).shape();
@@ -841,75 +493,6 @@ impl Forward for ExecSession<'_> {
                 assert!(i < rows, "gather index {i} out of {rows} rows");
                 out.row_slice_mut(r).copy_from_slice(src.row_slice(i));
             }
-        })
-    }
-
-    fn vcat_all(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "cannot vcat zero parts");
-        if parts.len() == 1 {
-            return parts[0];
-        }
-        let cols = self.get(parts[0]).cols();
-        let total: usize = parts
-            .iter()
-            .map(|&p| {
-                let (r, c) = self.get(p).shape();
-                assert_eq!(c, cols, "vcat_all column mismatch");
-                r
-            })
-            .sum();
-        self.compute(total, cols, |s, out| {
-            let mut off = 0;
-            for &p in parts {
-                let src = s.get(p).as_slice();
-                out.as_mut_slice()[off..off + src.len()].copy_from_slice(src);
-                off += src.len();
-            }
-        })
-    }
-
-    // ---- fused overrides: one pass, bit-identical to the defaults ----
-
-    fn linear(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId) -> NodeId {
-        self.linear_act(store, x, w, b, Act::Ident)
-    }
-
-    fn linear_act(
-        &mut self,
-        store: &ParamStore,
-        x: NodeId,
-        w: ParamId,
-        b: ParamId,
-        act: Act,
-    ) -> NodeId {
-        debug_assert!(
-            std::ptr::eq(store, self.store),
-            "linear_act() must use the session's store"
-        );
-        let _ = store;
-        let rows = self.get(x).rows();
-        let cols = self.store.value(w).cols();
-        let threads = self.exec.kernel_threads();
-        self.exec.ensure_packed(self.store, w);
-        self.compute(rows, cols, |s, out| {
-            let pb = &s.exec.packed[&w].panels;
-            kernels::matmul_packed_into(s.get(x), pb, Some(s.store.value(b)), act, threads, out)
-        })
-    }
-
-    fn matmul_bt(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let rows = self.get(a).rows();
-        let cols = self.get(b).rows();
-        let threads = self.exec.kernel_threads();
-        self.compute(rows, cols, |s, out| {
-            kernels::matmul_bt_into_mt(s.get(a), s.get(b), threads, out)
-        })
-    }
-
-    fn softmax_rows_scaled(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        let (rows, cols) = self.get(x).shape();
-        self.compute(rows, cols, |s, out| {
-            kernels::softmax_rows_scaled_into(s.get(x), alpha, out)
         })
     }
 
@@ -935,6 +518,40 @@ impl Forward for ExecSession<'_> {
         })
     }
 
+    fn linear(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId) -> NodeId {
+        self.linear_act(store, x, w, b, Act::Ident)
+    }
+
+    /// One packed GEMM with the bias and activation in its epilogue.
+    fn linear_act(&mut self, store: &ParamStore, x: NodeId, w: ParamId, b: ParamId, act: Act) -> NodeId {
+        self.check_store(store);
+        let rows = self.get(x).rows();
+        let cols = self.store.value(w).cols();
+        let threads = self.exec.kernel_threads();
+        self.exec.ensure_packed(self.store, w);
+        self.compute(rows, cols, |s, out| {
+            let pb = &s.exec.packed[&w].panels;
+            kernels::matmul_packed_into(s.get(x), pb, Some(s.store.value(b)), act, threads, out)
+        })
+    }
+
+    fn layer_norm_affine(
+        &mut self,
+        store: &ParamStore,
+        x: NodeId,
+        gain: ParamId,
+        bias: ParamId,
+        eps: f32,
+    ) -> NodeId {
+        self.check_store(store);
+        let (rows, cols) = self.get(x).shape();
+        self.compute(rows, cols, |s, out| {
+            kernels::layer_norm_affine_into(s.get(x), s.store.value(gain), s.store.value(bias), eps, out)
+        })
+    }
+
+    /// [`kernels::attn_blocks_into`]: reads the stacks in place and
+    /// writes the merged context directly — no slicing or concatenation.
     fn attn_blocks(
         &mut self,
         q: NodeId,
@@ -948,42 +565,7 @@ impl Forward for ExecSession<'_> {
         let (rows, dim) = self.get(q).shape();
         let threads = self.exec.kernel_threads();
         self.compute(rows, dim, |s, out| {
-            kernels::attn_blocks_into(
-                s.get(q),
-                s.get(k),
-                s.get(v),
-                q_lens,
-                kv_lens,
-                heads,
-                scale,
-                threads,
-                out,
-            )
-        })
-    }
-
-    fn layer_norm_affine(
-        &mut self,
-        store: &ParamStore,
-        x: NodeId,
-        gain: ParamId,
-        bias: ParamId,
-        eps: f32,
-    ) -> NodeId {
-        debug_assert!(
-            std::ptr::eq(store, self.store),
-            "layer_norm_affine() must use the session's store"
-        );
-        let _ = store;
-        let (rows, cols) = self.get(x).shape();
-        self.compute(rows, cols, |s, out| {
-            kernels::layer_norm_affine_into(
-                s.get(x),
-                s.store.value(gain),
-                s.store.value(bias),
-                eps,
-                out,
-            )
+            kernels::attn_blocks_into(s.get(q), s.get(k), s.get(v), q_lens, kv_lens, heads, scale, threads, out)
         })
     }
 }
@@ -996,88 +578,91 @@ mod tests {
         ParamStore::new(seed)
     }
 
+    fn wavy(rows: usize, cols: usize, step: f32) -> Matrix {
+        Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| (i as f32 * step).sin()).collect())
+    }
+
     #[test]
     fn session_ops_match_tape_ops() {
         let mut store = store_with(7);
         let w = store.normal("w", 4, 3, 0.5);
+        let b = store.normal("b", 1, 3, 0.5);
         let x = Matrix::from_vec(2, 4, vec![0.3, -1.2, 0.8, 0.1, 2.0, -0.5, 0.0, 1.5]);
 
         let mut tape = Tape::new();
         let xt = Forward::leaf_copy(&mut tape, &x);
-        let wt = Forward::param(&mut tape, &store, w);
-        let yt = Forward::matmul(&mut tape, xt, wt);
+        let yt = Forward::linear(&mut tape, &store, xt, w, b);
         let st = Forward::sigmoid(&mut tape, yt);
         let taped = Forward::value(&tape, st).clone();
 
         let mut exec = InferExec::new();
         let mut s = exec.session(&store);
         let xs = s.leaf_copy(&x);
-        let ws = s.param(&store, w);
-        let ys = s.matmul(xs, ws);
+        let ys = s.linear(&store, xs, w, b);
         let ss = s.sigmoid(ys);
         assert_eq!(s.value(ss), &taped, "backends must agree exactly");
     }
 
     #[test]
     fn arena_buffers_are_reused_across_sessions() {
-        let store = store_with(1);
+        let mut store = store_with(1);
+        let w = store.normal("w", 8, 8, 0.3);
+        let b = store.constant("b", 1, 8, 0.1);
         let x = Matrix::full(8, 8, 0.25);
         let mut exec = InferExec::new();
         let count_after = |exec: &mut InferExec| {
             let mut s = exec.session(&store);
             let a = s.leaf_copy(&x);
-            let b = s.leaf_copy(&x);
-            let c = s.matmul(a, b);
-            let d = s.gelu(c);
-            let e = s.layer_norm_rows(d, 1e-5);
-            let _ = s.softmax_rows(e);
+            let c = s.linear_act(&store, a, w, b, Act::Gelu);
+            let d = s.add(a, c);
+            let e = s.layer_norm_affine(&store, d, b, b, 1e-5);
+            let _ = s.attn_blocks(e, e, e, &[8], &[8], 2, 0.5);
             exec.buffer_count()
         };
         let first = count_after(&mut exec);
-        assert!(first > 0);
+        assert_eq!(first, 5, "one arena buffer per op");
         for _ in 0..5 {
-            assert_eq!(
-                count_after(&mut exec),
-                first,
-                "steady-state sessions must not grow the arena"
-            );
+            assert_eq!(count_after(&mut exec), first, "steady-state sessions must not grow the arena");
         }
     }
 
     #[test]
-    fn param_nodes_resolve_by_reference() {
-        let mut store = store_with(3);
-        let w = store.normal("w", 16, 16, 0.1);
+    #[should_panic(expected = "node from another session")]
+    fn a_node_past_the_session_is_rejected() {
+        let store = store_with(1);
+        let x = Matrix::full(2, 2, 0.25);
         let mut exec = InferExec::new();
-        let mut s = exec.session(&store);
-        let wn = s.param(&store, w);
-        // The param node's value is the store's matrix itself.
-        assert!(std::ptr::eq(s.value(wn), store.value(w)));
-        // And it occupies no arena buffer.
-        assert_eq!(exec.buffer_count(), 0);
+        let stale = {
+            let mut s = exec.session(&store);
+            let a = s.leaf_copy(&x);
+            s.add(a, a)
+        };
+        // The arena still owns the buffer; the new session has no node 1.
+        let s = exec.session(&store);
+        let _ = s.value(stale);
     }
 
     #[test]
-    fn fused_composites_match_tape_defaults_exactly() {
+    fn fused_kernels_match_the_tape_compositions_exactly() {
         let mut store = store_with(21);
         let w = store.normal("w", 6, 5, 0.4);
         let b = store.normal("b", 1, 5, 0.2);
         let g = store.constant("g", 1, 6, 1.1);
         let bb = store.constant("gb", 1, 6, -0.3);
-        let x = Matrix::from_vec(3, 6, (0..18).map(|i| (i as f32 * 0.31).sin()).collect());
-        let y = Matrix::from_vec(4, 6, (0..24).map(|i| (i as f32 * 0.17).cos()).collect());
+        let x = wavy(3, 6, 0.31);
+        let y = wavy(7, 6, 0.17);
+        let (q_lens, kv_lens) = ([1usize, 2], [3usize, 4]);
 
-        // Tape runs the *default* composed implementations.
+        // The tape runs the compositions that define the ops.
         let mut tape = Tape::new();
         let xt = Forward::leaf_copy(&mut tape, &x);
         let yt = Forward::leaf_copy(&mut tape, &y);
         let lin = Forward::linear_act(&mut tape, &store, xt, w, b, Act::Gelu);
-        let bt = Forward::matmul_bt(&mut tape, xt, yt);
-        let sm = Forward::softmax_rows_scaled(&mut tape, bt, 0.125);
         let ln = Forward::layer_norm_affine(&mut tape, &store, xt, g, bb, 1e-5);
+        let at = Forward::attn_blocks(&mut tape, xt, yt, yt, &q_lens, &kv_lens, 3, 0.125);
         let want_lin = Forward::value(&tape, lin).clone();
-        let want_sm = Forward::value(&tape, sm).clone();
         let want_ln = Forward::value(&tape, ln).clone();
+        let want_at = Forward::value(&tape, at).clone();
 
         // The session runs the fused kernels, at several thread counts.
         for threads in [1, 2, 4] {
@@ -1086,12 +671,11 @@ mod tests {
             let xs = s.leaf_copy(&x);
             let ys = s.leaf_copy(&y);
             let lin_s = s.linear_act(&store, xs, w, b, Act::Gelu);
-            let bt_s = s.matmul_bt(xs, ys);
-            let sm_s = s.softmax_rows_scaled(bt_s, 0.125);
             let ln_s = s.layer_norm_affine(&store, xs, g, bb, 1e-5);
+            let at_s = s.attn_blocks(xs, ys, ys, &q_lens, &kv_lens, 3, 0.125);
             assert_eq!(s.value(lin_s), &want_lin, "linear_act threads={threads}");
-            assert_eq!(s.value(sm_s), &want_sm, "softmax_scaled threads={threads}");
             assert_eq!(s.value(ln_s), &want_ln, "layer_norm_affine threads={threads}");
+            assert_eq!(s.value(at_s), &want_at, "attn_blocks threads={threads}");
         }
     }
 
@@ -1099,14 +683,14 @@ mod tests {
     fn packed_weights_are_cached_and_invalidate_on_mutation() {
         let mut store = store_with(5);
         let w = store.normal("w", 8, 8, 0.3);
+        let b = store.constant("b", 1, 8, 0.0);
         let x = Matrix::full(2, 8, 0.5);
         let mut exec = InferExec::new();
 
         let run = |exec: &mut InferExec, store: &ParamStore| {
             let mut s = exec.session(store);
             let xs = s.leaf_copy(&x);
-            let ws = s.param(store, w);
-            let ys = s.matmul(xs, ws);
+            let ys = s.linear(store, xs, w, b);
             s.value(ys).clone()
         };
 
@@ -1123,19 +707,20 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_leaf_helpers_agree_with_defaults() {
+    fn gather_and_leaf_ops_agree_with_the_tape() {
         let store = store_with(4);
         let src = Matrix::from_vec(4, 2, vec![1., 2., 3., 4., 5., 6., 7., 8.]);
         let rows: Vec<&[f32]> = vec![&[1.0, 2.0], &[9.0, 9.0]];
+        let ranges = |x: NodeId, l: NodeId| [(x, 1, 2), (l, 0, 2), (x, 3, 1)];
 
         let mut tape = Tape::new();
         let xt = Forward::leaf_copy(&mut tape, &src);
         let gt = Forward::gather_rows(&mut tape, xt, &[2, 0, 2]);
         let lt = Forward::leaf_rows(&mut tape, &rows);
-        let lg = Forward::leaf_gather(&mut tape, &src, &[3, 1]);
+        let vt = Forward::vcat_rows(&mut tape, &ranges(xt, lt));
         let expected_g = Forward::value(&tape, gt).clone();
         let expected_l = Forward::value(&tape, lt).clone();
-        let expected_lg = Forward::value(&tape, lg).clone();
+        let expected_v = Forward::value(&tape, vt).clone();
 
         let mut exec = InferExec::new();
         let mut s = exec.session(&store);
@@ -1144,7 +729,7 @@ mod tests {
         assert_eq!(s.value(gs), &expected_g);
         let ls = s.leaf_rows(&rows);
         assert_eq!(s.value(ls), &expected_l);
-        let lgs = s.leaf_gather(&src, &[3, 1]);
-        assert_eq!(s.value(lgs), &expected_lg);
+        let vs = s.vcat_rows(&ranges(xs, ls));
+        assert_eq!(s.value(vs), &expected_v);
     }
 }

@@ -1,5 +1,6 @@
-//! Lane-vectorized, optionally row-parallel compute kernels, plus
-//! packed-weight layouts and the fused row kernels used by the serving
+//! Lane-vectorized compute kernels: the plain matmuls under the tape,
+//! and the packed-weight, register-tiled, optionally row-parallel GEMM,
+//! the fused attention and the fused row kernels under the serving
 //! executor.
 //!
 //! # The bit-identity contract
@@ -40,12 +41,13 @@
 //!
 //! # The plain lane kernels
 //!
-//! [`matmul_into_mt`] / [`matmul_bt_into_mt`] / [`matmul_at_into`] serve
-//! the tape (forward and backward) and unpacked right-hand sides. They
-//! are branch-free loops over fixed-width `[f32; 8]` accumulators that
-//! lower to SIMD adds/multiplies on any x86-64 / aarch64 baseline; the
-//! transpose-free [`matmul_bt_into_mt`] runs 8 independent dot-product
-//! chains per output row.
+//! [`matmul_into`] / [`matmul_bt_into`] / [`matmul_at_into`] are what
+//! `Matrix::matmul{,_bt,_at}{,_into}` call: the tape's forward and
+//! backward products, single-threaded. They are branch-free loops over
+//! fixed-width `[f32; 8]` accumulators that lower to SIMD adds/multiplies
+//! on any x86-64 / aarch64 baseline; the transpose-free
+//! [`matmul_bt_into`] runs 8 independent dot-product chains per output
+//! row.
 
 use crate::elementary::{self, gelu_f, relu_f, sigmoid_f, tanh_f};
 use crate::matrix::Matrix;
@@ -129,13 +131,6 @@ impl RowsOut {
         RowsOut { ptr: m.as_mut_slice().as_mut_ptr(), cols: m.cols() }
     }
 
-    /// # Safety
-    /// `r` must be in range and no other thread may hold this row.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row(&self, r: usize) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.ptr.add(r * self.cols), self.cols)
-    }
-
     /// Rows `[r0, r1)` as one contiguous slice.
     ///
     /// # Safety
@@ -174,11 +169,17 @@ fn run_row_ranges(threads: usize, rows: usize, flops: usize, f: &(dyn Fn(usize, 
 
 // ---- plain matmul (out = A @ B) --------------------------------------------
 
-/// Lane kernel over a row range: `out[r0..r1] = A[r0..r1] @ B`.
-/// Panel-outer, row-inner: the `[k, 8]` column panel of `B` stays hot in
-/// cache across all rows of the range.
-fn matmul_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
+/// `out = a @ b`, fully overwriting `out`. Panel-outer, row-inner: the
+/// `[k, 8]` column panel of `b` stays hot in cache across all rows.
+///
+/// # Panics
+/// Panics on inner-dimension mismatch or when `out` is not
+/// `[a.rows, b.cols]`.
+pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(a.cols(), b.rows(), "matmul {}x{} @ {}x{}", a.rows(), a.cols(), b.rows(), b.cols());
+    assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul_into output shape");
     let n = b.cols();
+    let m = a.rows();
     if n == 0 {
         return;
     }
@@ -190,7 +191,7 @@ fn matmul_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
     // summing in ascending-`k` order, so pairing changes nothing
     // bitwise.
     while j0 + 2 * LANES <= n {
-        for i in r0..r1 {
+        for i in 0..m {
             let a_row = a.row_slice(i);
             let mut acc0 = [0.0f32; LANES];
             let mut acc1 = [0.0f32; LANES];
@@ -204,8 +205,7 @@ fn matmul_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
                     *o += av * bv;
                 }
             }
-            // SAFETY: rows in [r0, r1) belong exclusively to this call.
-            let dst = unsafe { out.row(i) };
+            let dst = out.row_slice_mut(i);
             dst[j0..j0 + LANES].copy_from_slice(&acc0);
             dst[j0 + LANES..j0 + 2 * LANES].copy_from_slice(&acc1);
         }
@@ -214,7 +214,7 @@ fn matmul_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
     while j0 < n {
         let w = LANES.min(n - j0);
         if w == LANES {
-            for i in r0..r1 {
+            for i in 0..m {
                 let a_row = a.row_slice(i);
                 let mut acc = [0.0f32; LANES];
                 for (&av, brow) in a_row.iter().zip(bd.chunks_exact(n)) {
@@ -223,12 +223,10 @@ fn matmul_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
                         *o += av * bv;
                     }
                 }
-                // SAFETY: rows in [r0, r1) belong exclusively to this call.
-                let dst = unsafe { out.row(i) };
-                dst[j0..j0 + LANES].copy_from_slice(&acc);
+                out.row_slice_mut(i)[j0..j0 + LANES].copy_from_slice(&acc);
             }
         } else {
-            for i in r0..r1 {
+            for i in 0..m {
                 let a_row = a.row_slice(i);
                 let mut acc = [0.0f32; LANES];
                 for (&av, brow) in a_row.iter().zip(bd.chunks_exact(n)) {
@@ -236,42 +234,38 @@ fn matmul_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
                         *o += av * bv;
                     }
                 }
-                // SAFETY: rows in [r0, r1) belong exclusively to this call.
-                let dst = unsafe { out.row(i) };
-                dst[j0..j0 + w].copy_from_slice(&acc[..w]);
+                out.row_slice_mut(i)[j0..j0 + w].copy_from_slice(&acc[..w]);
             }
         }
         j0 += w;
     }
 }
 
-/// `out = a @ b`, fully overwriting `out`, with row-parallel execution on
-/// up to `threads` threads when the shape clears the size gate. Results
-/// are bit-identical for every thread count.
-///
-/// # Panics
-/// Panics on inner-dimension mismatch or when `out` is not
-/// `[a.rows, b.cols]`.
-pub fn matmul_into_mt(a: &Matrix, b: &Matrix, threads: usize, out: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "matmul {}x{} @ {}x{}", a.rows(), a.cols(), b.rows(), b.cols());
-    assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul_into output shape");
-    let flops = 2 * a.rows() * a.cols() * b.cols();
-    let mo = RowsOut::new(out);
-    run_row_ranges(threads, a.rows(), flops, &|r0, r1| matmul_rows(a, b, mo, r0, r1));
-}
-
 // ---- transpose-free matmuls ------------------------------------------------
 
-/// Lane kernel over a row range: `out[r0..r1] = A[r0..r1] @ B^T` without
-/// materializing the transpose. Eight independent dot-product chains run
-/// per output row (one accumulator per B row), each still summing in
-/// ascending-`k` order.
-fn matmul_bt_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
+/// `out = a @ b^T`, fully overwriting `out`, without materializing the
+/// transpose. Eight independent dot-product chains run per output row
+/// (one accumulator per `b` row), each still summing in ascending-`k`
+/// order.
+///
+/// # Panics
+/// Panics when the shared dimensions mismatch or `out` is not
+/// `[a.rows, b.rows]`.
+pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(
+        a.cols(),
+        b.cols(),
+        "matmul_bt {}x{} @ ({}x{})^T",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    assert_eq!(out.shape(), (a.rows(), b.rows()), "matmul_bt_into output shape");
     let nout = b.rows();
-    for i in r0..r1 {
+    for i in 0..a.rows() {
         let a_row = a.row_slice(i);
-        // SAFETY: rows in [r0, r1) belong exclusively to this call.
-        let dst = unsafe { out.row(i) };
+        let dst = out.row_slice_mut(i);
         let mut j = 0;
         while j < nout {
             let w = LANES.min(nout - j);
@@ -299,32 +293,8 @@ fn matmul_bt_rows(a: &Matrix, b: &Matrix, out: RowsOut, r0: usize, r1: usize) {
     }
 }
 
-/// `out = a @ b^T`, fully overwriting `out`, optionally row-parallel.
-///
-/// # Panics
-/// Panics when the shared dimensions mismatch or `out` is not
-/// `[a.rows, b.rows]`.
-pub fn matmul_bt_into_mt(a: &Matrix, b: &Matrix, threads: usize, out: &mut Matrix) {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_bt {}x{} @ ({}x{})^T",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    assert_eq!(out.shape(), (a.rows(), b.rows()), "matmul_bt_into output shape");
-    let flops = 2 * a.rows() * a.cols() * b.rows();
-    let mo = RowsOut::new(out);
-    run_row_ranges(threads, a.rows(), flops, &|r0, r1| matmul_bt_rows(a, b, mo, r0, r1));
-}
-
 /// `out = a^T @ b`, fully overwriting `out`, without materializing the
-/// transpose. Single-threaded: the `k`-outer loop this kernel needs for
-/// its ascending-`k` order makes output rows non-local per thread, and
-/// its only hot caller is the tape backward pass, which is
-/// single-threaded by design.
+/// transpose. Its hot caller is the tape's backward pass.
 ///
 /// # Panics
 /// Panics when the shared dimensions mismatch or `out` is not
@@ -395,11 +365,6 @@ impl PackedB {
     /// Logical `(rows, cols)` of the packed matrix.
     pub fn shape(&self) -> (usize, usize) {
         (self.k, self.n)
-    }
-
-    /// Packed size in `f32` elements (incl. padding) — cache accounting.
-    pub fn packed_len(&self) -> usize {
-        self.data.len()
     }
 }
 
@@ -495,7 +460,7 @@ trait Tile {
     unsafe fn store(acc: Self::Acc, bias: *const f32, dst: *mut f32);
 }
 
-/// The portable tile body: the lane loops of [`matmul_into_mt`].
+/// The portable tile body: the lane loops of [`matmul_into`].
 struct Lanes;
 
 impl Tile for Lanes {
@@ -791,11 +756,11 @@ fn pack_panels_transposed(src: &[f32], ld: usize, rows: usize, k: usize, dst: &m
 /// context rows are written straight into the head-merged output.
 ///
 /// Bit-identity: every score is one ascending-`c` accumulator chain
-/// (exactly [`matmul_bt_into_mt`] on the sliced block), each score row
+/// (exactly [`matmul_bt_into`] on the sliced block), each score row
 /// goes through [`elementary::softmax_row`] with `scale` (exactly
 /// [`softmax_rows_scaled_into`]), and every
 /// output element accumulates `attn[i,j] · v[j,c]` in ascending-`j`
-/// order (exactly [`matmul_into_mt`] on the sliced block) — so the
+/// order (exactly [`matmul_into`] on the sliced block) — so the
 /// result matches the composed ops byte for byte.
 ///
 /// Parallelism is per (sequence, head), so a one-sequence call still
@@ -986,7 +951,7 @@ mod tests {
             let a = wavy(m, k, 0.0);
             let b = wavy(k, n, 1.0);
             let mut out = Matrix::zeros(m, n);
-            matmul_into_mt(&a, &b, 1, &mut out);
+            matmul_into(&a, &b, &mut out);
             // Reference: naive i-j-k with a single ascending-k accumulator.
             let mut reference = Matrix::zeros(m, n);
             for i in 0..m {
@@ -1003,20 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matmul_is_bit_identical_to_single_thread() {
-        // Big enough to clear the parallel gate.
-        let a = wavy(64, 48, 0.2);
-        let b = wavy(48, 40, 0.7);
-        let mut single = Matrix::zeros(64, 40);
-        matmul_into_mt(&a, &b, 1, &mut single);
-        for threads in [2, 3, 4, 8] {
-            let mut multi = Matrix::zeros(64, 40);
-            matmul_into_mt(&a, &b, threads, &mut multi);
-            assert_eq!(multi.as_slice(), single.as_slice(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn packed_matmul_matches_unpacked_bitwise() {
         for &(m, k, n) in &[(5, 12, 16), (7, 33, 19), (1, 8, 3), (16, 64, 64)] {
             let a = wavy(m, k, 0.1);
@@ -1024,7 +975,7 @@ mod tests {
             let pb = PackedB::pack(&b);
             assert_eq!(pb.shape(), (k, n));
             let mut plain = Matrix::zeros(m, n);
-            matmul_into_mt(&a, &b, 1, &mut plain);
+            matmul_into(&a, &b, &mut plain);
             let mut packed = Matrix::zeros(m, n);
             matmul_packed_into(&a, &pb, None, Act::Ident, 1, &mut packed);
             assert_eq!(packed.as_slice(), plain.as_slice(), "{m}x{k}x{n}");
@@ -1123,7 +1074,7 @@ mod tests {
             let bias = wavy(1, n, 2.9);
             let pb = PackedB::pack(&b);
             let mut plain = Matrix::zeros(m, n);
-            matmul_into_mt(&a, &b, 1, &mut plain);
+            matmul_into(&a, &b, &mut plain);
             for act in [Act::Ident, Act::Relu, Act::Gelu, Act::Sigmoid, Act::Tanh] {
                 let mut want = plain.clone();
                 for r in 0..m {
@@ -1177,11 +1128,11 @@ mod tests {
                 let kb = slice_block(k, ko, kl);
                 let vb = slice_block(v, ko, kl);
                 let mut raw = Matrix::zeros(ql, kl);
-                matmul_bt_into_mt(&qb, &kb, 1, &mut raw);
+                matmul_bt_into(&qb, &kb, &mut raw);
                 let mut attn = Matrix::zeros(ql, kl);
                 softmax_rows_scaled_into(&raw, scale, &mut attn);
                 let mut ob = Matrix::zeros(ql, dh);
-                matmul_into_mt(&attn, &vb, 1, &mut ob);
+                matmul_into(&attn, &vb, &mut ob);
                 for r in 0..ql {
                     want.row_slice_mut(qo + r)[c0..c0 + dh].copy_from_slice(ob.row_slice(r));
                 }

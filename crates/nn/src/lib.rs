@@ -19,9 +19,10 @@
 //! * [`tape`] — reverse-mode automatic differentiation over matrices.
 //!   A [`tape::Tape`] records the forward computation; [`tape::Tape::backward`]
 //!   replays it in reverse, producing gradients for every leaf.
-//! * [`exec`] — the execution-backend split: the [`exec::Forward`] trait
-//!   abstracts the forward op set so the same model code runs on the
-//!   recording [`tape::Tape`] (training) or the tape-free, buffer-reusing
+//! * [`exec`] — the execution-backend split: the 13-op [`exec::Forward`]
+//!   trait is the only seam between model code and execution, so the same
+//!   model code runs on the recording [`tape::Tape`] (training; its
+//!   compositions define the ops) or the tape-free, buffer-reusing
 //!   [`exec::InferExec`] (serving).
 //! * [`params`] — named trainable parameters with Adam state, plus
 //!   Xavier/normal initialization.

@@ -1,12 +1,13 @@
 //! Dense row-major `f32` matrices and the raw numeric kernels.
 //!
-//! Everything in the DL stack is expressed over 2-D matrices; sequence
-//! batches are processed sample-at-a-time (each sample is `[seq, hidden]`),
-//! which avoids padding/masking entirely — every sample carries its own
-//! sequence length. That invariant holds for *both* execution backends
-//! (see [`crate::exec`]): the recording [`crate::Tape`] used for training
-//! and the tape-free `InferExec` used for serving evaluate the same
-//! sample-at-a-time op sequence.
+//! Everything in the DL stack is expressed over 2-D matrices. A batch of
+//! sequences is one ragged row stack `[Σ len_b, hidden]` — every
+//! sequence keeps its own length, so nothing is ever padded or masked:
+//! row-wise ops run over the whole stack and attention is block-diagonal
+//! per sequence. A single sequence is a batch of one. That holds for
+//! *both* execution backends (see [`crate::exec`]): the recording
+//! [`crate::Tape`] used for training and the tape-free `InferExec` used
+//! for serving run the same model bodies.
 //!
 //! The matmul kernels here are shared by both backends so that training
 //! and serving produce bit-identical forward values: [`Matrix::matmul`]
@@ -64,6 +65,21 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Matrix {
         assert_eq!(data.len(), rows * cols, "data length {} != {rows}x{cols}", data.len());
         Matrix { rows, cols, data }
+    }
+
+    /// Stacks equally long rows into a `[rows.len(), len]` matrix.
+    ///
+    /// # Panics
+    /// Panics when `rows` is empty or ragged.
+    pub fn from_rows<R: AsRef<[f32]>>(rows: &[R]) -> Matrix {
+        assert!(!rows.is_empty(), "cannot stack zero rows");
+        let cols = rows[0].as_ref().len();
+        let mut data = Vec::with_capacity(rows.len() * cols);
+        for r in rows {
+            assert_eq!(r.as_ref().len(), cols, "ragged feature rows");
+            data.extend_from_slice(r.as_ref());
+        }
+        Matrix { rows: rows.len(), cols, data }
     }
 
     /// A 1×1 matrix holding a scalar.
@@ -167,18 +183,17 @@ impl Matrix {
 
     /// `self @ rhs` written into `out`, which is fully overwritten.
     ///
-    /// Runs the branch-free lane kernel
-    /// ([`crate::kernels::matmul_into_mt`]) single-threaded: 8 output
-    /// columns are computed at a time, each with its own accumulator
-    /// summing in ascending-`k` order — bit-identical to a naive i-j-k
-    /// loop and to the threaded/packed variants the serving executor
-    /// uses.
+    /// Runs the branch-free lane kernel ([`crate::kernels::matmul_into`]):
+    /// 8 output columns are computed at a time, each with its own
+    /// accumulator summing in ascending-`k` order — bit-identical to a
+    /// naive i-j-k loop and to the packed, threaded kernel the serving
+    /// executor uses.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch or when `out` is not
     /// `[self.rows, rhs.cols]`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        crate::kernels::matmul_into_mt(self, rhs, 1, out);
+        crate::kernels::matmul_into(self, rhs, out);
     }
 
     /// `self @ rhs^T` without materializing the transpose.
@@ -195,7 +210,7 @@ impl Matrix {
     /// Panics on shared-dimension mismatch or when `out` is not
     /// `[self.rows, rhs.rows]`.
     pub fn matmul_bt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        crate::kernels::matmul_bt_into_mt(self, rhs, 1, out);
+        crate::kernels::matmul_bt_into(self, rhs, out);
     }
 
     /// `self^T @ rhs` without materializing the transpose.

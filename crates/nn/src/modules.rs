@@ -104,36 +104,14 @@ impl Embedding {
         }
     }
 
-    /// Embeds a token id sequence into `[len, dim]`, adding positions.
-    ///
-    /// # Panics
-    /// Panics when the sequence exceeds `max_len`.
-    pub fn forward<E: Forward + ?Sized>(&self, ex: &mut E, store: &ParamStore, tokens: &[usize]) -> NodeId {
-        assert!(
-            tokens.len() <= self.max_len,
-            "sequence length {} exceeds max_len {}",
-            tokens.len(),
-            self.max_len
-        );
-        let tok = ex.gather_param_rows(store, self.table, tokens);
-        let pos_idx: Vec<usize> = (0..tokens.len()).collect();
-        let pos = ex.gather_param_rows(store, self.positions, &pos_idx);
-        ex.add(tok, pos)
-    }
-
     /// Embeds a batch of token sequences row-stacked into one
     /// `[Σ len_i, dim]` node. Position indices restart at 0 for every
-    /// sequence, so each row is bit-identical to the row the unbatched
-    /// [`Embedding::forward`] would produce for that sequence alone.
+    /// sequence, so a sequence's rows do not depend on what it is
+    /// stacked with.
     ///
     /// # Panics
     /// Panics when the batch is empty or any sequence exceeds `max_len`.
-    pub fn forward_batched<E: Forward + ?Sized>(
-        &self,
-        ex: &mut E,
-        store: &ParamStore,
-        seqs: &[&[usize]],
-    ) -> NodeId {
+    pub fn forward<E: Forward + ?Sized>(&self, ex: &mut E, store: &ParamStore, seqs: &[&[usize]]) -> NodeId {
         assert!(!seqs.is_empty(), "cannot embed an empty batch");
         let total: usize = seqs.iter().map(|s| s.len()).sum();
         let mut tok_idx = Vec::with_capacity(total);
@@ -191,35 +169,21 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Attention with queries from `q_in` (`[Lq, dim]`) and keys/values
-    /// from `kv_in` (`[Lkv, dim]`); output is `[Lq, dim]`. One sequence is
-    /// a batch of one: the same body as [`Self::forward_batched`].
-    pub fn forward<E: Forward + ?Sized>(&self, ex: &mut E, store: &ParamStore, q_in: NodeId, kv_in: NodeId) -> NodeId {
-        let (lq, lkv) = (ex.value(q_in).rows(), ex.value(kv_in).rows());
-        self.forward_batched(ex, store, q_in, kv_in, &[lq], &[lkv])
-    }
-
-    /// Self-attention convenience: `forward(x, x)`.
-    pub fn self_attention<E: Forward + ?Sized>(&self, ex: &mut E, store: &ParamStore, x: NodeId) -> NodeId {
-        self.forward(ex, store, x, x)
-    }
-
-    /// Block-diagonal batched attention over B row-stacked sequences.
+    /// Block-diagonal attention over B row-stacked sequences.
     ///
     /// `q_in` is `[Σ q_lens, dim]`, `kv_in` is `[Σ kv_lens, dim]`;
-    /// sequence `b`'s queries attend only to sequence `b`'s keys/values.
-    /// The Q/K/V/output projections are row-wise, so they run as single
-    /// fused matmuls over the whole stack — that is where batching earns
-    /// its throughput. Only the score/softmax/value products are taken
-    /// per sequence (attention is the one op that mixes rows), via the
-    /// backend's [`Forward::attn_blocks`] — a single fused kernel on the
-    /// serving executor — which makes every output row bit-identical to
-    /// what the unbatched [`MultiHeadAttention::forward`] produces for
-    /// that sequence alone.
+    /// sequence `b`'s queries attend only to sequence `b`'s keys/values
+    /// (self-attention passes the same node and lengths twice; one
+    /// sequence is a batch of one). The Q/K/V/output projections are
+    /// row-wise, so they run as single matmuls over the whole stack —
+    /// that is where batching earns its throughput. Only the
+    /// score/softmax/value products are taken per sequence (attention is
+    /// the one op that mixes rows), via [`Forward::attn_blocks`], so a
+    /// sequence's output rows do not depend on what it is stacked with.
     ///
     /// # Panics
     /// Panics when the batch is empty or the length vectors disagree.
-    pub fn forward_batched<E: Forward + ?Sized>(
+    pub fn forward<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         store: &ParamStore,
@@ -289,20 +253,14 @@ impl TransformerLayer {
         }
     }
 
-    /// Generalized block with distinct query and key/value streams; the
-    /// residual is taken on the *query* stream, so the output keeps the
-    /// query's sequence length. Self-attention is `forward(x, x)`.
-    pub fn forward<E: Forward + ?Sized>(&self, ex: &mut E, store: &ParamStore, q_in: NodeId, kv_in: NodeId) -> NodeId {
-        let (lq, lkv) = (ex.value(q_in).rows(), ex.value(kv_in).rows());
-        self.forward_batched(ex, store, q_in, kv_in, &[lq], &[lkv])
-    }
-
-    /// Batched block over B row-stacked sequences: attention is
-    /// block-diagonal (per-sequence, via
-    /// [`MultiHeadAttention::forward_batched`]) while the residuals,
-    /// layer norms, and FFN — all row-wise — run as single fused passes
-    /// over the whole `[Σ q_lens, dim]` stack.
-    pub fn forward_batched<E: Forward + ?Sized>(
+    /// The block over B row-stacked sequences with distinct query and
+    /// key/value streams; the residual is taken on the *query* stream, so
+    /// the output keeps the query stack's layout. Attention is
+    /// block-diagonal per sequence ([`MultiHeadAttention::forward`]);
+    /// the residuals, layer norms and FFN — all row-wise — run as single
+    /// passes over the whole `[Σ q_lens, dim]` stack. Self-attention
+    /// passes the same node and lengths twice.
+    pub fn forward<E: Forward + ?Sized>(
         &self,
         ex: &mut E,
         store: &ParamStore,
@@ -311,7 +269,7 @@ impl TransformerLayer {
         q_lens: &[usize],
         kv_lens: &[usize],
     ) -> NodeId {
-        let attn_out = self.attn.forward_batched(ex, store, q_in, kv_in, q_lens, kv_lens);
+        let attn_out = self.attn.forward(ex, store, q_in, kv_in, q_lens, kv_lens);
         let res1 = ex.add(q_in, attn_out);
         let x = self.ln1.forward(ex, store, res1);
         let ffn_out = self.ffn.forward(ex, store, x);
@@ -381,7 +339,7 @@ mod tests {
         let mut s = store();
         let emb = Embedding::new(&mut s, "e", 10, 8, 16);
         let mut t = Tape::new();
-        let x = emb.forward(&mut t, &s, &[1, 2, 1]);
+        let x = emb.forward(&mut t, &s, &[&[1, 2, 1]]);
         assert_eq!(t.value(x).shape(), (3, 8));
         // Token 1 at positions 0 and 2 must differ (position embeddings).
         let v = t.value(x);
@@ -394,7 +352,7 @@ mod tests {
         let mut s = store();
         let emb = Embedding::new(&mut s, "e", 10, 4, 2);
         let mut t = Tape::new();
-        let _ = emb.forward(&mut t, &s, &[0, 1, 2]);
+        let _ = emb.forward(&mut t, &s, &[&[0, 1, 2]]);
     }
 
     #[test]
@@ -403,7 +361,7 @@ mod tests {
         let mha = MultiHeadAttention::new(&mut s, "a", 8, 2);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(5, 8, 0.1));
-        let y = mha.self_attention(&mut t, &s, x);
+        let y = mha.forward(&mut t, &s, x, x, &[5], &[5]);
         assert_eq!(t.value(y).shape(), (5, 8));
     }
 
@@ -414,12 +372,13 @@ mod tests {
         let mut t = Tape::new();
         let q = t.leaf(Matrix::full(3, 8, 0.1));
         let kv = t.leaf(Matrix::full(7, 8, -0.2));
-        let y = mha.forward(&mut t, &s, q, kv);
+        let y = mha.forward(&mut t, &s, q, kv, &[3], &[7]);
         assert_eq!(t.value(y).shape(), (3, 8));
     }
 
     /// The per-head loop `MultiHeadAttention::forward` ran before it
-    /// became a one-block `attn_blocks` call — the oracle for it.
+    /// became a one-block `attn_blocks` call — the oracle for it, written
+    /// in the tape's own primitives.
     fn per_head_attention(mha: &MultiHeadAttention, t: &mut Tape, store: &ParamStore, q_in: NodeId, kv_in: NodeId) -> NodeId {
         let dh = mha.dim / mha.heads;
         let scale = 1.0 / (dh as f32).sqrt();
@@ -428,14 +387,16 @@ mod tests {
         let v = mha.wv.forward(t, store, kv_in);
         let mut merged: Option<NodeId> = None;
         for h in 0..mha.heads {
-            let qh = Forward::slice_cols(t, q, h * dh, dh);
-            let kh = Forward::slice_cols(t, k, h * dh, dh);
-            let vh = Forward::slice_cols(t, v, h * dh, dh);
-            let scores = Forward::matmul_bt(t, qh, kh);
-            let attn = Forward::softmax_rows_scaled(t, scores, scale);
-            let out = Forward::matmul(t, attn, vh);
+            let qh = t.slice_cols(q, h * dh, dh);
+            let kh = t.slice_cols(k, h * dh, dh);
+            let vh = t.slice_cols(v, h * dh, dh);
+            let kt = t.transpose(kh);
+            let scores = t.matmul(qh, kt);
+            let scaled = t.scale(scores, scale);
+            let attn = t.softmax_rows(scaled);
+            let out = t.matmul(attn, vh);
             merged = Some(match merged {
-                Some(prev) => Forward::hcat(t, prev, out),
+                Some(prev) => t.hcat(prev, out),
                 None => out,
             });
         }
@@ -456,7 +417,7 @@ mod tests {
                 let mut t = Tape::new();
                 let q = t.leaf(q_val.clone());
                 let kv = if lq == lkv { q } else { t.leaf(kv_val.clone()) };
-                let y = if oracle { per_head_attention(&mha, &mut t, &s, q, kv) } else { mha.forward(&mut t, &s, q, kv) };
+                let y = if oracle { per_head_attention(&mha, &mut t, &s, q, kv) } else { mha.forward(&mut t, &s, q, kv, &[lq], &[lkv]) };
                 let sq = t.square(y);
                 let loss = t.sum(sq);
                 t.backward(loss);
@@ -500,7 +461,7 @@ mod tests {
             let loss_on = |s: &ParamStore| {
                 let mut t = Tape::new();
                 let x = t.leaf(input.clone());
-                let enc = layer.forward(&mut t, s, x, x);
+                let enc = layer.forward(&mut t, s, x, x, &[4], &[4]);
                 let pred = head.forward(&mut t, s, enc);
                 let tgt = t.leaf(target.clone());
                 let neg = t.scale(tgt, -1.0);
@@ -541,9 +502,9 @@ mod tests {
         let mut t = Tape::new();
         let meta = t.leaf(Matrix::full(2, 4, 0.5));
         let content = t.leaf(Matrix::full(3, 4, -0.5));
-        let meta_out = layer.forward(&mut t, &s, meta, meta);
+        let meta_out = layer.forward(&mut t, &s, meta, meta, &[2], &[2]);
         let kv = t.vcat(meta_out, content);
-        let content_out = layer.forward(&mut t, &s, content, kv);
+        let content_out = layer.forward(&mut t, &s, content, kv, &[3], &[5]);
         let s1 = t.square(meta_out);
         let s2 = t.square(content_out);
         let l1 = t.sum(s1);
@@ -570,27 +531,27 @@ mod tests {
 
         let mut t = Tape::new();
         let xt = t.leaf(input.clone());
-        let yt = layer.forward(&mut t, &s, xt, xt);
+        let yt = layer.forward(&mut t, &s, xt, xt, &[3], &[3]);
         let taped = t.value(yt).clone();
 
         let mut exec = InferExec::new();
         let mut sess = exec.session(&s);
         let xs = sess.leaf_copy(&input);
-        let ys = layer.forward(&mut sess, &s, xs, xs);
+        let ys = layer.forward(&mut sess, &s, xs, xs, &[3], &[3]);
         assert_eq!(sess.value(ys), &taped);
     }
 
     #[test]
-    fn batched_embedding_matches_per_sequence_rows() {
+    fn stacked_embedding_matches_batches_of_one() {
         let mut s = store();
         let emb = Embedding::new(&mut s, "e", 12, 8, 16);
         let seqs: [&[usize]; 3] = [&[1, 2, 3], &[4, 5], &[1, 2, 3, 4, 5, 6]];
         let mut t = Tape::new();
-        let stacked = emb.forward_batched(&mut t, &s, &seqs);
+        let stacked = emb.forward(&mut t, &s, &seqs);
         let mut off = 0;
         for seq in seqs {
             let mut t2 = Tape::new();
-            let solo = emb.forward(&mut t2, &s, seq);
+            let solo = emb.forward(&mut t2, &s, &[seq]);
             for r in 0..seq.len() {
                 assert_eq!(
                     t.value(stacked).row_slice(off + r),
@@ -603,11 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_transformer_layer_is_bit_identical_per_sequence() {
+    fn stacked_transformer_layer_equals_batches_of_one_on_both_backends() {
         // Variable-length sequences, distinct q/kv lengths (the content
-        // tower's cross-attention shape), both backends, threaded kernels:
-        // every output row of the batched stack must equal the row the
-        // unbatched forward produces for its sequence — exactly.
+        // tower's cross-attention shape), threaded kernels: N sequences
+        // stacked = N batches of one = the tape's composed reference,
+        // row for row, exactly.
         let mut s = store();
         let layer = TransformerLayer::new(&mut s, "t0", 8, 2, 16);
         let q_lens = [3usize, 5, 2];
@@ -617,50 +578,38 @@ mod tests {
         };
         let qs: Vec<Matrix> = q_lens.iter().enumerate().map(|(i, &l)| mk(l, 0.31 + i as f32 * 0.11)).collect();
         let kvs: Vec<Matrix> = kv_lens.iter().enumerate().map(|(i, &l)| mk(l, 0.17 + i as f32 * 0.07)).collect();
+        let stack = |ms: &[Matrix]| ms[1..].iter().fold(ms[0].clone(), |acc, m| acc.vcat(m));
+        let (q_stack, kv_stack) = (stack(&qs), stack(&kvs));
 
-        // Reference: each sequence through the unbatched forward (tape).
+        // Reference: each sequence alone through the tape's compositions.
         let mut want: Vec<Matrix> = Vec::new();
         for (q, kv) in qs.iter().zip(&kvs) {
             let mut t = Tape::new();
             let qn = t.leaf(q.clone());
             let kvn = t.leaf(kv.clone());
-            let y = layer.forward(&mut t, &s, qn, kvn);
+            let y = layer.forward(&mut t, &s, qn, kvn, &[q.rows()], &[kv.rows()]);
             want.push(t.value(y).clone());
         }
+        let want_stack = stack(&want);
+
+        let mut t = Tape::new();
+        let (qn, kvn) = (t.leaf(q_stack.clone()), t.leaf(kv_stack.clone()));
+        let y = layer.forward(&mut t, &s, qn, kvn, &q_lens, &kv_lens);
+        assert_eq!(t.value(y), &want_stack, "tape, stacked");
 
         for threads in [1usize, 4] {
             let mut exec = InferExec::with_kernel_threads(threads);
             let mut sess = exec.session(&s);
-            let qn: Vec<_> = qs.iter().map(|q| sess.leaf_copy(q)).collect();
-            let kvn: Vec<_> = kvs.iter().map(|kv| sess.leaf_copy(kv)).collect();
-            let q_stack = sess.vcat_all(&qn);
-            let kv_stack = sess.vcat_all(&kvn);
-            let y = layer.forward_batched(&mut sess, &s, q_stack, kv_stack, &q_lens, &kv_lens);
-            let mut off = 0;
-            for (b, w) in want.iter().enumerate() {
-                for r in 0..q_lens[b] {
-                    assert_eq!(
-                        sess.value(y).row_slice(off + r),
-                        w.row_slice(r),
-                        "batched row diverged (seq {b}, row {r}, threads {threads})"
-                    );
-                }
-                off += q_lens[b];
+            let (qn, kvn) = (sess.leaf_copy(&q_stack), sess.leaf_copy(&kv_stack));
+            let y = layer.forward(&mut sess, &s, qn, kvn, &q_lens, &kv_lens);
+            assert_eq!(sess.value(y), &want_stack, "session, stacked, threads {threads}");
+            for (b, (q, kv)) in qs.iter().zip(&kvs).enumerate() {
+                let mut sess = exec.session(&s);
+                let (qn, kvn) = (sess.leaf_copy(q), sess.leaf_copy(kv));
+                let y = layer.forward(&mut sess, &s, qn, kvn, &[q.rows()], &[kv.rows()]);
+                assert_eq!(sess.value(y), &want[b], "session, seq {b} alone, threads {threads}");
             }
         }
-    }
-
-    #[test]
-    fn batched_layer_with_single_sequence_matches_unbatched() {
-        let mut s = store();
-        let layer = TransformerLayer::new(&mut s, "t0", 8, 4, 16);
-        let x = Matrix::from_vec(5, 8, (0..40).map(|i| (i as f32 * 0.23).cos()).collect());
-        let mut exec = InferExec::new();
-        let mut sess = exec.session(&s);
-        let xn = sess.leaf_copy(&x);
-        let solo = layer.forward(&mut sess, &s, xn, xn);
-        let batched = layer.forward_batched(&mut sess, &s, xn, xn, &[5], &[5]);
-        assert_eq!(sess.value(solo), sess.value(batched));
     }
 
     #[test]

@@ -40,44 +40,6 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn threaded_kernels_are_bit_identical_across_thread_counts(
-        (m, k, n) in dims(),
-        seed in any::<u64>(),
-    ) {
-        let gen = |salt: u64, len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| {
-                    let h = seed
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add(salt)
-                        .wrapping_add(i as u64)
-                        .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    ((h >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
-                })
-                .collect()
-        };
-        let a = Matrix::from_vec(m, k, gen(1, m * k));
-        let b = Matrix::from_vec(k, n, gen(2, k * n));
-
-        let mut reference = Matrix::zeros(m, n);
-        kernels::matmul_into_mt(&a, &b, 1, &mut reference);
-        for threads in [2usize, 4] {
-            let mut out = Matrix::zeros(m, n);
-            kernels::matmul_into_mt(&a, &b, threads, &mut out);
-            prop_assert_eq!(&out, &reference, "matmul threads={}", threads);
-        }
-
-        let bt = Matrix::from_vec(n, k, gen(3, n * k));
-        let mut bt_ref = Matrix::zeros(m, n);
-        kernels::matmul_bt_into_mt(&a, &bt, 1, &mut bt_ref);
-        for threads in [2usize, 4] {
-            let mut out = Matrix::zeros(m, n);
-            kernels::matmul_bt_into_mt(&a, &bt, threads, &mut out);
-            prop_assert_eq!(&out, &bt_ref, "matmul_bt threads={}", threads);
-        }
-    }
-
-    #[test]
     fn packed_matmul_is_bit_identical_to_unpacked(
         (m, k, n) in dims(),
         a in prop::collection::vec(-2.0f32..2.0, 160),
