@@ -1,6 +1,6 @@
 # Convenience targets for the TASTE reproduction workspace.
 
-.PHONY: verify build test clippy crash-resume train-resume repro overload-sweep swap-bench perf-smoke sched-1core
+.PHONY: verify build test clippy examples crash-resume train-resume repro overload-sweep swap-bench perf-smoke sched-1core
 
 # The one gate every change must pass.
 verify:
@@ -14,6 +14,17 @@ test:
 
 clippy:
 	cargo clippy --all-targets -- -D warnings
+
+# Every example end to end, stopping at the first non-zero exit: seven of
+# the ten train a model and assert on what it then detects, and no test
+# runs them. Offline, pass the patched cargo of the verify skill as
+# CARGO="cargo --offline --config …".
+CARGO ?= cargo
+examples:
+	@set -e; for f in examples/*.rs; do \
+		e=$$(basename $$f .rs); echo "== example $$e"; \
+		$(CARGO) run --release --quiet --example $$e; \
+	done
 
 # The release-mode kill-and-resume scenarios (too slow for `verify`).
 crash-resume:

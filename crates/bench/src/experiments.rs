@@ -638,7 +638,7 @@ pub fn crash_resume(scale: &Scale) -> Result<()> {
 }
 
 /// Training-resilience benchmark — checkpoint overhead and resume
-/// fidelity for the crash-safe fine-tuning loop.
+/// fidelity of the one training loop, through `train_adtd`.
 ///
 /// Three passes over the same SynthGit training set with the same
 /// model seed: a bare run without checkpointing, an uninterrupted run
@@ -649,7 +649,7 @@ pub fn crash_resume(scale: &Scale) -> Result<()> {
 /// both in final parameters and per-step losses.
 pub fn train_resume(scale: &Scale) -> Result<()> {
     use crate::datasets::training_inputs_from_split;
-    use taste_model::trainer::train_adtd_resumable;
+    use taste_model::trainer::train_adtd;
     use taste_model::{TrainConfig, TrainResilience};
     use taste_nn::checkpoint::CheckpointPolicy;
     use taste_nn::ParamStore;
@@ -675,13 +675,11 @@ pub fn train_resume(scale: &Scale) -> Result<()> {
         out.sort();
         out
     };
-    let training = |e: TasteError| TasteError::Training(e.to_string());
 
     // Pass 1: the bare loop.
     let mut bare = fresh_model();
     let t0 = Instant::now();
-    let bare_report =
-        train_adtd_resumable(&mut bare, &inputs, &cfg, &TrainResilience::default()).map_err(training)?;
+    let bare_report = train_adtd(&mut bare, &inputs, &cfg, &TrainResilience::default())?;
     let bare_time = t0.elapsed();
 
     // Pass 2: same run with periodic checkpoints.
@@ -690,7 +688,7 @@ pub fn train_resume(scale: &Scale) -> Result<()> {
     let res = TrainResilience { dir: Some(ckpt_dir.clone()), policy, ..TrainResilience::default() };
     let mut ckpt = fresh_model();
     let t1 = Instant::now();
-    let ckpt_report = train_adtd_resumable(&mut ckpt, &inputs, &cfg, &res).map_err(training)?;
+    let ckpt_report = train_adtd(&mut ckpt, &inputs, &cfg, &res)?;
     let ckpt_time = t1.elapsed();
 
     // Pass 3: killed halfway, then resumed from disk into a freshly
@@ -705,13 +703,13 @@ pub fn train_resume(scale: &Scale) -> Result<()> {
         ..TrainResilience::default()
     };
     let mut halted_model = fresh_model();
-    let halted_report = train_adtd_resumable(&mut halted_model, &inputs, &cfg, &kill).map_err(training)?;
+    let halted_report = train_adtd(&mut halted_model, &inputs, &cfg, &kill)?;
     let resume = TrainResilience { halt_after_steps: None, ..kill };
     let mut resumed = fresh_model();
-    let resumed_report = train_adtd_resumable(&mut resumed, &inputs, &cfg, &resume).map_err(training)?;
+    let resumed_report = train_adtd(&mut resumed, &inputs, &cfg, &resume)?;
 
     let transparent = param_bits(&bare.store) == param_bits(&ckpt.store);
-    let loss_bits = |r: &taste_model::ResumableReport| -> Vec<u32> {
+    let loss_bits = |r: &taste_model::TrainReport| -> Vec<u32> {
         r.step_losses.iter().map(|v| v.to_bits()).collect()
     };
     let identical = param_bits(&ckpt.store) == param_bits(&resumed.store)

@@ -4,17 +4,25 @@
 //! every trained model is cached under `results/cache/` keyed by dataset,
 //! model kind, and scale, so re-running a single experiment does not
 //! retrain the world. Delete the cache directory to force retraining.
+//!
+//! Every model here trains through `taste-model`'s one loop without a
+//! checkpoint directory (`TrainResilience::default()`): a NaN or spiking
+//! step is skipped, not fatal, and `is_clean()` on the report's health
+//! says whether any was. The loop draws shuffling, column order, masking
+//! and dropout from `SplitMix64Rng`, so trained weights no longer depend
+//! on which `rand` is linked — and a cache written before that change
+//! (PR 20) holds models of the old stream.
 
 use crate::datasets::{training_inputs_from_split, Bundle};
 use crate::scale::Scale;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use taste_core::{Result, TasteError};
+use taste_core::Result;
 use taste_data::splits::Split;
 use taste_model::pretrain::{pretrain_encoder, sequences_from_inputs, PretrainConfig};
 use taste_model::trainer::{train_adtd, train_single_tower};
-use taste_model::{Adtd, BaselineKind, ModelConfig, SingleTower, TrainConfig};
+use taste_model::{Adtd, BaselineKind, ModelConfig, SingleTower, TrainConfig, TrainResilience};
 
 /// The four models every comparison uses.
 pub struct TrainedModels {
@@ -84,7 +92,7 @@ fn pretrained_store(
     seqs.truncate(scale.pretrain_sequences);
     let pcfg = PretrainConfig { epochs: scale.pretrain_epochs, seed: scale.seed, ..Default::default() };
     let t0 = Instant::now();
-    let store = pretrain_encoder(cfg, &bundle.tokenizer, &seqs, &pcfg)?;
+    let (store, _) = pretrain_encoder(cfg, &bundle.tokenizer, &seqs, &pcfg, &TrainResilience::default())?;
     eprintln!("  pretrained {tag} encoder for {} in {:.1?}", bundle.kind.label(), t0.elapsed());
     store_cached(&key, &store.to_json());
     Ok(store)
@@ -115,7 +123,7 @@ pub fn taste_model(bundle: &Bundle, scale: &Scale, with_histograms: bool, tag: &
         copied
     );
     let t0 = Instant::now();
-    let report = train_adtd(&mut model, &inputs, &train_config(scale)).map_err(|e| TasteError::Training(e.to_string()))?;
+    let report = train_adtd(&mut model, &inputs, &train_config(scale), &TrainResilience::default())?;
     eprintln!("    done in {:.1?}, losses {:?}", t0.elapsed(), report.epoch_losses);
     store_cached(&key, &model.to_json());
     Ok(Arc::new(model))
@@ -140,8 +148,7 @@ pub fn baseline_model(bundle: &Bundle, scale: &Scale, kind: BaselineKind) -> Res
     model.store.load_matching(&pre);
     eprintln!("  training {} on {} ({} inputs)...", kind.label(), bundle.kind.label(), inputs.len());
     let t0 = Instant::now();
-    let report = train_single_tower(&mut model, &inputs, &train_config(scale))
-        .map_err(|e| TasteError::Training(e.to_string()))?;
+    let report = train_single_tower(&mut model, &inputs, &train_config(scale), &TrainResilience::default())?;
     eprintln!("    done in {:.1?}, losses {:?}", t0.elapsed(), report.epoch_losses);
     store_cached(&key, &model.to_json());
     Ok(Arc::new(model))
@@ -176,7 +183,7 @@ pub fn taste_model_for_corpus(
     let mut model = Adtd::new(experiment_config(), tokenizer.clone(), corpus.ntypes(), scale.seed);
     eprintln!("  training TASTE[{tag}] ({} inputs)...", inputs.len());
     let t0 = Instant::now();
-    let report = train_adtd(&mut model, &inputs, &train_config(scale)).map_err(|e| TasteError::Training(e.to_string()))?;
+    let report = train_adtd(&mut model, &inputs, &train_config(scale), &TrainResilience::default())?;
     eprintln!("    done in {:.1?}, losses {:?}", t0.elapsed(), report.epoch_losses);
     store_cached(&key, &model.to_json());
     Ok(Arc::new(model))

@@ -305,9 +305,8 @@ impl Adtd {
 
     /// Training forward pass: both towers in one tape (so the shared
     /// encoder receives gradients from both tasks), with dropout on the
-    /// classifier inputs when `dropout_rng` is provided. The RNG is
-    /// taken as a trait object so both the default `StdRng` and the
-    /// checkpointable `SplitMix64Rng` of resumable training drive it.
+    /// classifier inputs when `dropout_rng` is provided — the training
+    /// loop's checkpointable `SplitMix64Rng`, taken as a trait object.
     pub fn forward_train(
         &self,
         tape: &mut Tape,

@@ -12,11 +12,10 @@
 
 use crate::adtd::{Adtd, Head};
 use crate::prepare::ModelInput;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use crate::resilience::{fit, sum_nodes, warmup_adam, Plan, TrainResilience};
+use crate::trainer::{tower_bce_sums, TrainReport};
 use taste_core::TasteError;
-use taste_nn::guard::{AnomalyDetector, AnomalyPolicy, StepVerdict};
-use taste_nn::{Adam, AdamConfig, LrSchedule, Matrix, ParamId, Tape};
+use taste_nn::{Matrix, ParamId};
 
 /// Widens the model's type domain from `model.ntypes` to `new_ntypes`.
 ///
@@ -66,19 +65,16 @@ fn widen_head(model: &mut Adtd, head: Head, name: &str, gen: &str, old: usize, n
     Head::from_parts(l1, taste_nn::modules::Linear { w: w_id, b: b_id })
 }
 
+/// Chunks per optimizer step of head-only fine-tuning.
+const HEAD_BATCH: usize = 4;
+
 /// Fine-tunes *only* the classifier heads (and the AWL weights) on the
-/// given inputs; every encoder parameter is frozen. Returns per-epoch
-/// losses.
-///
-/// Anomalous steps (non-finite loss or gradients, loss spikes) are
-/// contained rather than fatal: the step's gradients are dropped and
-/// training continues, same as the resumable loops. Only a *persistent*
-/// anomaly — the detector escalating past its consecutive-step limit,
-/// with no checkpoint to roll back to in this lightweight path — aborts.
+/// given inputs; every other parameter is frozen. Runs through the one
+/// checkpointable, anomaly-guarded loop (see [`crate::resilience`]; pass
+/// `&TrainResilience::default()` to train without checkpoints).
 ///
 /// # Errors
-/// Returns [`TasteError::Training`] on persistent anomalies, or
-/// [`TasteError::InvalidArgument`] on empty input.
+/// As [`crate::trainer::train_adtd`].
 pub fn train_heads_only(
     model: &mut Adtd,
     inputs: &[ModelInput],
@@ -86,82 +82,32 @@ pub fn train_heads_only(
     lr: f32,
     pos_weight: f32,
     seed: u64,
-) -> Result<Vec<f32>, TasteError> {
-    if inputs.is_empty() {
-        return Err(TasteError::invalid("no inputs"));
-    }
-    let trainable: Vec<ParamId> = model.head_param_ids();
+    res: &TrainResilience,
+) -> Result<TrainReport, TasteError> {
+    let trainable = model.head_param_ids();
+    let frozen: Vec<ParamId> = model.store.ids().filter(|id| !trainable.contains(id)).collect();
     // Stale Adam momentum from the original full training would keep
     // nudging frozen parameters even with zeroed gradients.
     model.store.reset_optimizer_state();
-    let steps = inputs.len().div_ceil(4) * epochs;
-    let mut opt = Adam::new(
-        AdamConfig { lr, clip_norm: 1.0, ..Default::default() },
-        LrSchedule::LinearWarmupDecay { warmup: (steps / 10).max(1), total: steps.max(2) },
-    );
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut order: Vec<usize> = (0..inputs.len()).collect();
-    let mut losses = Vec::with_capacity(epochs);
-    let guard_policy = AnomalyPolicy::default();
-    let mut detector = AnomalyDetector::default();
-    for _ in 0..epochs {
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut steps_done = 0usize;
-        for batch in order.chunks(4) {
-            let mut tape = Tape::new();
-            let mut batch_losses = Vec::new();
+    fit(
+        model,
+        |m| &mut m.store,
+        &Plan { n_items: inputs.len(), epochs, batch_size: HEAD_BATCH, seed, frozen: &frozen },
+        |steps| warmup_adam(lr, steps),
+        res,
+        |model, tape, batch, _rng| {
+            let mut losses = Vec::new();
             let mut cols = 0usize;
             for &i in batch {
-                let input = &inputs[i];
-                let fwd = model.forward_train(&mut tape, input, None);
-                cols += input.targets.len();
-                let targets = Matrix::from_rows(&input.targets);
-                batch_losses.push(tape.bce_with_logits_weighted_sum(fwd.meta_logits, targets, pos_weight));
-                if let Some(logits) = fwd.content_logits {
-                    let sub: Vec<Vec<f32>> =
-                        fwd.content_cols.iter().map(|&j| input.targets[j].clone()).collect();
-                    batch_losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&sub), pos_weight));
-                }
+                let (meta, content) = tower_bce_sums(model, tape, &inputs[i], None, pos_weight);
+                cols += inputs[i].targets.len();
+                losses.push(meta);
+                losses.extend(content.map(|(node, _)| node));
             }
-            let mut total = batch_losses[0];
-            for &l in &batch_losses[1..] {
-                total = tape.add(total, l);
-            }
-            let total = tape.scale(total, 1.0 / cols.max(1) as f32);
-            let v = tape.value(total).item();
-            tape.backward(total);
-            tape.accumulate_param_grads(&mut model.store);
-            // Freeze everything that is not a head parameter.
-            let frozen: Vec<ParamId> = model
-                .store
-                .ids()
-                .filter(|id| !trainable.contains(id))
-                .collect();
-            for id in frozen {
-                model.store.grad_mut(id).fill_zero();
-            }
-            // The detector observes the *effective* (post-freeze)
-            // gradient norm, after backward and before the update.
-            match detector.observe(&guard_policy, v, model.store.grad_global_norm()) {
-                StepVerdict::Apply => {
-                    opt.step(&mut model.store);
-                    epoch_loss += f64::from(v);
-                    steps_done += 1;
-                }
-                StepVerdict::Skip(_) => model.store.zero_grads(),
-                StepVerdict::Rollback(anomaly) => {
-                    // Head-only training keeps no checkpoints; a
-                    // persistent anomaly has nowhere to roll back to.
-                    return Err(TasteError::Training(format!(
-                        "persistent anomaly in head fine-tuning: {anomaly:?} (loss {v})"
-                    )));
-                }
-            }
-        }
-        losses.push((epoch_loss / steps_done.max(1) as f64) as f32);
-    }
-    Ok(losses)
+            let total = sum_nodes(tape, &losses);
+            Some(tape.scale(total, 1.0 / cols.max(1) as f32))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -196,6 +142,10 @@ mod tests {
         }
     }
 
+    fn base_cfg() -> TrainConfig {
+        TrainConfig { epochs: 16, batch_size: 4, lr: 2.5e-3, ..Default::default() }
+    }
+
     fn base_inputs() -> Vec<ModelInput> {
         (0..16)
             .map(|i| {
@@ -211,8 +161,7 @@ mod tests {
     #[test]
     fn extend_widens_heads_and_preserves_old_predictions() {
         let mut model = Adtd::new(ModelConfig::tiny(), tokenizer(), 3, 0);
-        train_adtd(&mut model, &base_inputs(), &TrainConfig { epochs: 16, batch_size: 4, lr: 2.5e-3, ..Default::default() })
-            .unwrap();
+        train_adtd(&mut model, &base_inputs(), &base_cfg(), &TrainResilience::default()).unwrap();
         let probe = base_inputs()[0].clone();
         let mut inf = crate::Inferencer::default();
         let enc = inf.encode_meta(&model, &probe.chunk);
@@ -246,13 +195,23 @@ mod tests {
     #[test]
     fn head_only_training_learns_new_type_without_touching_encoder() {
         let mut model = Adtd::new(ModelConfig::tiny(), tokenizer(), 3, 0);
-        train_adtd(&mut model, &base_inputs(), &TrainConfig { epochs: 16, batch_size: 4, lr: 2.5e-3, ..Default::default() })
-            .unwrap();
+        train_adtd(&mut model, &base_inputs(), &base_cfg(), &TrainResilience::default()).unwrap();
         extend_types(&mut model, 4).unwrap();
 
-        // Snapshot an encoder parameter.
-        let enc_param = model.store.id_by_name("enc.layer0.attn.q.w").expect("encoder param");
-        let enc_before = model.store.value(enc_param).clone();
+        // Snapshot every parameter outside the heads, as bits.
+        let heads = model.head_param_ids();
+        let frozen_bits = |m: &Adtd| -> Vec<(String, Vec<u32>)> {
+            m.store
+                .ids()
+                .filter(|id| !heads.contains(id))
+                .map(|id| {
+                    let bits = m.store.value(id).as_slice().iter().map(|v| v.to_bits()).collect();
+                    (m.store.name(id).to_owned(), bits)
+                })
+                .collect()
+        };
+        let before = frozen_bits(&model);
+        assert!(before.iter().any(|(name, _)| name == "enc.layer0.attn.q.w"), "encoder is among the frozen");
 
         // New type 3: columns named "iban" holding "gamma". Old-type
         // replay inputs get their targets padded to the new width.
@@ -268,11 +227,14 @@ mod tests {
         for _ in 0..8 {
             new_inputs.push(input("iban", "gamma", vec![0.0, 0.0, 0.0, 1.0]));
         }
-        let losses = train_heads_only(&mut model, &new_inputs, 14, 4e-3, 4.0, 1).unwrap();
+        let report =
+            train_heads_only(&mut model, &new_inputs, 14, 4e-3, 4.0, 1, &TrainResilience::default()).unwrap();
+        let losses = &report.epoch_losses;
         assert!(losses.last().unwrap() < losses.first().unwrap(), "{losses:?}");
+        assert!(report.health.is_clean());
 
-        // Encoder untouched.
-        assert_eq!(model.store.value(enc_param), &enc_before);
+        // Nothing but the heads moved, not by a bit.
+        assert_eq!(frozen_bits(&model), before);
 
         // The new type is now detected for iban columns.
         let probe = input("iban", "gamma", vec![0.0; 4]);

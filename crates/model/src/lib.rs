@@ -27,15 +27,19 @@
 //!   content-dependent; §6.2) used for every comparison.
 //! * [`pretrain`] — Masked Language Model pre-training on the unlabeled
 //!   table corpus, standing in for the TURL pre-trained checkpoint.
-//! * [`trainer`] — mini-batch fine-tuning loops for ADTD and baselines.
+//! * [`trainer`] — mini-batch fine-tuning of ADTD and the baselines.
+//! * [`extend`] — widening the heads to new semantic types and
+//!   fine-tuning them with the encoder frozen (the paper's first
+//!   future-work direction, §8).
 //! * [`registry`] — versioned on-disk model artifacts for hot reload:
 //!   CRC32C-framed, atomically published, quarantined on corruption —
 //!   the source the serving-side rollout controller promotes from.
-//! * [`resilience`] — crash-safe training: the driver behind
-//!   [`trainer::train_adtd_resumable`] and
-//!   [`pretrain::pretrain_encoder_resumable`] (periodic full-state
+//! * [`resilience`] — the one training loop under
+//!   [`trainer::train_adtd`], [`trainer::train_single_tower`],
+//!   [`pretrain::pretrain_encoder`] and [`extend::train_heads_only`],
+//!   each of which only builds a batch's loss: periodic full-state
 //!   checkpoints, bit-identical resume, anomaly skip/rollback, and the
-//!   [`taste_nn::guard::TrainingHealth`] report).
+//!   [`taste_nn::guard::TrainingHealth`] in every [`TrainReport`].
 
 #![warn(missing_docs)]
 
@@ -61,5 +65,5 @@ pub use config::ModelConfig;
 pub use infer::Inferencer;
 pub use prepare::{ModelInput, TableChunk};
 pub use registry::{ModelRegistry, RegistryLoadOutcome, VersionedModel};
-pub use resilience::{FaultInjection, ResumableReport, TrainResilience};
-pub use trainer::TrainConfig;
+pub use resilience::{FaultInjection, TrainResilience};
+pub use trainer::{TrainConfig, TrainReport};

@@ -11,14 +11,15 @@
 use crate::config::ModelConfig;
 use crate::encoder::Encoder;
 use crate::prepare::ModelInput;
-use rand::seq::SliceRandom;
+use crate::resilience::{fit, sum_nodes, warmup_adam, Plan, TrainResilience};
+use crate::trainer::TrainReport;
 use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use taste_core::TasteError;
 use taste_nn::losses::mlm_cross_entropy;
 use taste_nn::modules::Linear;
-use taste_nn::{Adam, AdamConfig, Forward, LrSchedule, ParamStore, Tape};
+use taste_nn::{Forward, NodeId, ParamStore, Tape};
 use taste_tokenizer::vocab::Special;
 use taste_tokenizer::{Packer, Tokenizer};
 
@@ -68,9 +69,8 @@ pub fn sequences_from_inputs(
 }
 
 /// Applies BERT-style masking; returns `(masked tokens, positions,
-/// original ids at those positions)`. Generic over the RNG so the
-/// classic loop (StdRng) and the resumable loop (the checkpointable
-/// `SplitMix64Rng`) share it.
+/// original ids at those positions)`. Generic over the RNG so training
+/// (the checkpointable `SplitMix64Rng`) and [`mlm_eval_loss`] share it.
 fn mask_sequence(
     tokens: &[u32],
     tokenizer: &Tokenizer,
@@ -99,161 +99,70 @@ fn mask_sequence(
     (masked, positions, originals)
 }
 
+/// The MLM loss node of one masked sequence (what [`mask_sequence`]
+/// returned), or `None` when the mask selected no position.
+fn mlm_loss(
+    encoder: &Encoder,
+    mlm_head: &Linear,
+    store: &ParamStore,
+    tape: &mut Tape,
+    (masked, positions, originals): (Vec<usize>, Vec<usize>, Vec<usize>),
+) -> Option<NodeId> {
+    if positions.is_empty() {
+        return None;
+    }
+    let latent = encoder.forward_self(tape, store, &masked);
+    let rows = tape.gather_rows(latent, &positions);
+    let logits = mlm_head.forward(tape, store, rows);
+    Some(mlm_cross_entropy(tape, logits, originals))
+}
+
 /// Pre-trains an encoder of the given configuration with MLM and returns
-/// its parameter store (`enc.*` parameters plus the discarded MLM head).
+/// its parameter store (`enc.*` parameters plus the discarded MLM head)
+/// with the run's report, through the one checkpointable,
+/// anomaly-guarded loop (see [`crate::resilience`]; pass
+/// `&TrainResilience::default()` to train without checkpoints).
 ///
 /// # Errors
-/// Returns [`TasteError::Training`] on non-finite loss or an empty
-/// sequence set.
+/// As [`crate::trainer::train_adtd`].
 pub fn pretrain_encoder(
     cfg: &ModelConfig,
     tokenizer: &Tokenizer,
     sequences: &[Vec<u32>],
     pcfg: &PretrainConfig,
-) -> Result<ParamStore, TasteError> {
-    if sequences.is_empty() {
-        return Err(TasteError::invalid("no pre-training sequences"));
-    }
+    res: &TrainResilience,
+) -> Result<(ParamStore, TrainReport), TasteError> {
     let mut store = ParamStore::new(pcfg.seed ^ 0x9E37);
     let encoder = Encoder::new(&mut store, "enc", cfg, tokenizer.vocab().len());
     let mlm_head = Linear::new(&mut store, "mlm", cfg.hidden, tokenizer.vocab().len());
-
-    let steps = sequences.len().div_ceil(pcfg.batch_size) * pcfg.epochs;
-    let mut opt = Adam::new(
-        AdamConfig { lr: pcfg.lr, clip_norm: 1.0, ..Default::default() },
-        LrSchedule::LinearWarmupDecay { warmup: (steps / 10).max(1), total: steps.max(2) },
-    );
-    let mut rng = rand::rngs::StdRng::seed_from_u64(pcfg.seed);
-    let mut order: Vec<usize> = (0..sequences.len()).collect();
-
-    for _ in 0..pcfg.epochs {
-        order.shuffle(&mut rng);
-        for batch in order.chunks(pcfg.batch_size) {
-            let mut tape = Tape::new();
-            let mut losses = Vec::new();
-            for &i in batch {
-                let (masked, positions, originals) =
-                    mask_sequence(&sequences[i], tokenizer, pcfg.mask_prob, &mut rng);
-                if positions.is_empty() {
-                    continue;
-                }
-                let latent = encoder.forward_self(&mut tape, &store, &masked);
-                let rows = tape.gather_rows(latent, &positions);
-                let logits = mlm_head.forward(&mut tape, &store, rows);
-                losses.push(mlm_cross_entropy(&mut tape, logits, originals));
-            }
-            if losses.is_empty() {
-                continue;
-            }
-            let mut total = losses[0];
-            for &l in &losses[1..] {
-                total = tape.add(total, l);
-            }
-            let total = tape.scale(total, 1.0 / losses.len() as f32);
-            let v = tape.value(total).item();
-            if !v.is_finite() {
-                return Err(TasteError::Training(format!("non-finite MLM loss {v}")));
-            }
-            tape.backward(total);
-            tape.accumulate_param_grads(&mut store);
-            opt.step(&mut store);
-        }
-    }
-    Ok(store)
-}
-
-/// Crash-safe variant of [`pretrain_encoder`]: periodic full-state
-/// checkpoints, resume-on-start, and numerical-fault containment. The
-/// same bit-identical-resume guarantee as
-/// [`crate::trainer::train_adtd_resumable`] applies: masking and
-/// shuffling draw from the checkpointable RNG carried in the
-/// checkpoint, so a killed-and-resumed pre-training run reproduces the
-/// uninterrupted run exactly.
-///
-/// # Errors
-/// [`TasteError::InvalidArgument`] on an empty sequence set;
-/// [`TasteError::Training`] when the rollback budget is exhausted;
-/// [`TasteError::Serde`] on checkpoint I/O failure.
-pub fn pretrain_encoder_resumable(
-    cfg: &ModelConfig,
-    tokenizer: &Tokenizer,
-    sequences: &[Vec<u32>],
-    pcfg: &PretrainConfig,
-    res: &crate::resilience::TrainResilience,
-) -> Result<(ParamStore, crate::resilience::ResumableReport), TasteError> {
-    use crate::resilience::{ResilienceDriver, StepOutcome};
-    use taste_nn::checkpoint::TrainProgress;
-
-    if sequences.is_empty() {
-        return Err(TasteError::invalid("no pre-training sequences"));
-    }
-    let mut store = ParamStore::new(pcfg.seed ^ 0x9E37);
-    let encoder = Encoder::new(&mut store, "enc", cfg, tokenizer.vocab().len());
-    let mlm_head = Linear::new(&mut store, "mlm", cfg.hidden, tokenizer.vocab().len());
-
-    let steps = sequences.len().div_ceil(pcfg.batch_size) * pcfg.epochs;
-    let mut opt = Adam::new(
-        AdamConfig { lr: pcfg.lr, clip_norm: 1.0, ..Default::default() },
-        LrSchedule::LinearWarmupDecay { warmup: (steps / 10).max(1), total: steps.max(2) },
-    );
-    let mut driver = ResilienceDriver::new(res)?;
-    let mut st = match driver.resume(&mut store, &mut opt)? {
-        Some(progress) => progress,
-        None => TrainProgress::fresh(sequences.len(), pcfg.seed),
+    let plan = Plan {
+        n_items: sequences.len(),
+        epochs: pcfg.epochs,
+        batch_size: pcfg.batch_size,
+        seed: pcfg.seed,
+        frozen: &[],
     };
-    let batches_per_epoch = st.batches_per_epoch(pcfg.batch_size);
-    let mut halted = false;
-
-    while (st.epoch as usize) < pcfg.epochs {
-        if driver.should_halt(&st) {
-            halted = true;
-            break;
-        }
-        if st.batch == 0 {
-            st.order.shuffle(&mut st.rng);
-        }
-        let lo = st.batch as usize * pcfg.batch_size;
-        let hi = (lo + pcfg.batch_size).min(sequences.len());
-        let batch: Vec<usize> = st.order[lo..hi].iter().map(|&i| i as usize).collect();
-
-        let mut tape = Tape::new();
-        let mut losses = Vec::new();
-        for &i in &batch {
-            let (masked, positions, originals) =
-                mask_sequence(&sequences[i], tokenizer, pcfg.mask_prob, &mut st.rng);
-            if positions.is_empty() {
-                continue;
+    let report = fit(
+        &mut store,
+        |s| s,
+        &plan,
+        |steps| warmup_adam(pcfg.lr, steps),
+        res,
+        |store, tape, batch, rng| {
+            let losses: Vec<NodeId> = batch
+                .iter()
+                .filter_map(|&i| {
+                    let masked = mask_sequence(&sequences[i], tokenizer, pcfg.mask_prob, rng);
+                    mlm_loss(&encoder, &mlm_head, store, tape, masked)
+                })
+                .collect();
+            if losses.is_empty() {
+                return None;
             }
-            let latent = encoder.forward_self(&mut tape, &store, &masked);
-            let rows = tape.gather_rows(latent, &positions);
-            let logits = mlm_head.forward(&mut tape, &store, rows);
-            losses.push(mlm_cross_entropy(&mut tape, logits, originals));
-        }
-        if losses.is_empty() {
-            // No maskable positions in this batch: the RNG draws above
-            // still happened (so replay stays aligned); just move on.
-            st.advance(batches_per_epoch);
-            continue;
-        }
-        let mut total = losses[0];
-        for &l in &losses[1..] {
-            total = tape.add(total, l);
-        }
-        let total = tape.scale(total, 1.0 / losses.len() as f32);
-        let v = tape.value(total).item();
-        tape.backward(total);
-        tape.accumulate_param_grads(&mut store);
-        match driver.after_backward(&mut store, &mut opt, &mut st, v)? {
-            StepOutcome::Applied => {
-                st.record_loss(v);
-                st.advance(batches_per_epoch);
-                driver.maybe_checkpoint(&store, &opt, &mut st)?;
-            }
-            StepOutcome::Skipped(_) => st.advance(batches_per_epoch),
-            StepOutcome::RolledBack => {}
-        }
-    }
-    let report = ResilienceDriver::finish(st, &opt, halted);
+            let total = sum_nodes(tape, &losses);
+            Some(tape.scale(total, 1.0 / losses.len() as f32))
+        },
+    )?;
     Ok((store, report))
 }
 
@@ -274,17 +183,12 @@ pub fn mlm_eval_loss(
     let mut total = 0.0f64;
     let mut n = 0usize;
     for seq in sequences {
-        let (masked, positions, originals) = mask_sequence(seq, tokenizer, 0.15, &mut rng);
-        if positions.is_empty() {
-            continue;
-        }
         let mut tape = Tape::new();
-        let latent = encoder.forward_self(&mut tape, store, &masked);
-        let rows = tape.gather_rows(latent, &positions);
-        let logits = mlm_head.forward(&mut tape, store, rows);
-        let loss = mlm_cross_entropy(&mut tape, logits, originals);
-        total += f64::from(tape.value(loss).item());
-        n += 1;
+        let masked = mask_sequence(seq, tokenizer, 0.15, &mut rng);
+        if let Some(loss) = mlm_loss(&encoder, &mlm_head, store, &mut tape, masked) {
+            total += f64::from(tape.value(loss).item());
+            n += 1;
+        }
     }
     if n == 0 {
         0.0
@@ -339,7 +243,7 @@ mod tests {
     fn masking_never_touches_reserved_tokens() {
         let tok = tokenizer();
         let seqs = sequences_from_inputs(&tok, ModelConfig::tiny().budget, &inputs());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut rng = taste_core::rng::SplitMix64Rng::new(0);
         for seq in &seqs {
             let (_, positions, originals) = mask_sequence(seq, &tok, 0.5, &mut rng);
             for (&p, &orig) in positions.iter().zip(&originals) {
@@ -355,7 +259,7 @@ mod tests {
         // A long artificial sequence of maskable tokens.
         let word_id = tok.vocab().id("alpha").unwrap();
         let seq = vec![word_id; 2000];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = taste_core::rng::SplitMix64Rng::new(1);
         let (_, positions, _) = mask_sequence(&seq, &tok, 0.15, &mut rng);
         let rate = positions.len() as f64 / 2000.0;
         assert!((rate - 0.15).abs() < 0.03, "rate {rate}");
@@ -367,7 +271,8 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let seqs = sequences_from_inputs(&tok, cfg.budget, &inputs());
         let pcfg = PretrainConfig { epochs: 5, lr: 3e-3, ..Default::default() };
-        let trained = pretrain_encoder(&cfg, &tok, &seqs, &pcfg).unwrap();
+        let (trained, report) = pretrain_encoder(&cfg, &tok, &seqs, &pcfg, &TrainResilience::default()).unwrap();
+        assert!(report.health.is_clean());
         // Fresh random encoder as the baseline.
         let fresh = {
             let mut s = ParamStore::new(123);
@@ -388,7 +293,8 @@ mod tests {
         let tok = tokenizer();
         let cfg = ModelConfig::tiny();
         let seqs = sequences_from_inputs(&tok, cfg.budget, &inputs());
-        let trained = pretrain_encoder(&cfg, &tok, &seqs, &PretrainConfig::default()).unwrap();
+        let (trained, _) =
+            pretrain_encoder(&cfg, &tok, &seqs, &PretrainConfig::default(), &TrainResilience::default()).unwrap();
         let mut model = crate::adtd::Adtd::new(cfg, tok, 4, 0);
         let copied = model.store.load_matching(&trained);
         assert!(copied > 0, "encoder parameters should transfer");
@@ -399,6 +305,7 @@ mod tests {
     #[test]
     fn empty_sequences_error() {
         let tok = tokenizer();
-        assert!(pretrain_encoder(&ModelConfig::tiny(), &tok, &[], &PretrainConfig::default()).is_err());
+        let res = TrainResilience::default();
+        assert!(pretrain_encoder(&ModelConfig::tiny(), &tok, &[], &PretrainConfig::default(), &res).is_err());
     }
 }

@@ -1,10 +1,17 @@
-//! Crash-safe, anomaly-guarded training: the driver shared by the
-//! resumable fine-tuning and MLM pre-training loops.
+//! The one training loop, crash-safe and anomaly-guarded.
+//!
+//! Every model in this crate trains through the private `fit`:
+//! [`crate::trainer::train_adtd`], [`crate::trainer::train_single_tower`],
+//! [`crate::pretrain::pretrain_encoder`] and
+//! [`crate::extend::train_heads_only`] each supply an optimizer and a
+//! closure that builds one batch's loss node; `fit` owns everything else
+//! — the cursor and loop-top shuffle, one [`Tape`] per step, backward,
+//! gradient accumulation, the frozen-parameter hook and the optimizer
+//! step.
 //!
 //! The serving path already survives crashes (journaled detection runs)
-//! and bad inputs (panic isolation); this module gives the *training*
-//! path the same two properties. A [`ResilienceDriver`] wraps a
-//! training loop with:
+//! and bad inputs (panic isolation); `fit` gives the *training* path the
+//! same two properties:
 //!
 //! * **resume-on-start** — the newest intact checkpoint in the
 //!   configured directory is restored (corrupt files are quarantined
@@ -27,15 +34,18 @@
 
 use std::path::PathBuf;
 
+use rand::seq::SliceRandom;
 use rustc_hash::FxHashSet;
+use taste_core::rng::SplitMix64Rng;
 use taste_core::TasteError;
 use taste_nn::checkpoint::{CheckpointPolicy, CheckpointStore, TrainCheckpoint, TrainProgress};
-use taste_nn::guard::{Anomaly, AnomalyPolicy, StepVerdict, TrainingHealth};
-use taste_nn::{Adam, ParamStore};
+use taste_nn::guard::{AnomalyPolicy, StepVerdict};
+use taste_nn::{Adam, AdamConfig, LrSchedule, NodeId, ParamId, ParamStore, Tape};
 
 use crate::trainer::TrainReport;
 
-/// Configuration of a resumable training run.
+/// Crash-safety and anomaly-containment settings of a training run;
+/// `TrainResilience::default()` trains without checkpoints.
 #[derive(Debug, Clone, Default)]
 pub struct TrainResilience {
     /// Checkpoint directory. `None` trains without checkpoints: anomaly
@@ -89,96 +99,107 @@ impl Default for FaultInjection {
     }
 }
 
-impl FaultInjection {
-    /// Whether any fault is configured.
-    pub fn is_empty(&self) -> bool {
-        self.nan_grad_steps.is_empty()
-            && self.nan_loss_steps.is_empty()
-            && self.spike_loss_steps.is_empty()
-    }
-}
-
-/// What a resumable training run returns alongside the trained model.
-#[derive(Debug, Clone)]
-pub struct ResumableReport {
-    /// Mean loss per completed epoch (the classic [`TrainReport`]).
-    pub report: TrainReport,
-    /// Loss of every applied optimizer step, across kills and resumes.
-    pub step_losses: Vec<f32>,
-    /// Anomaly and checkpoint telemetry.
-    pub health: TrainingHealth,
-    /// Whether the run stopped at `halt_after_steps` rather than
-    /// completing its epochs.
-    pub halted: bool,
-}
-
 /// The per-step outcome [`ResilienceDriver::after_backward`] reports to
-/// the loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
+/// `fit`.
+enum StepOutcome {
     /// The optimizer stepped: record the loss and advance the cursor.
     Applied,
     /// The step was anomalous: gradients were dropped, nothing was
     /// applied. Advance the cursor without recording a loss.
-    Skipped(Anomaly),
+    Skipped,
     /// The run was rolled back to an earlier checkpoint; the cursor
     /// moved *backwards*. Do not advance — loop again from the restored
     /// progress.
     RolledBack,
 }
 
-/// Shared mechanics of a resumable training loop.
-pub struct ResilienceDriver {
+/// The checkpoint, fault-injection and anomaly mechanics of `fit`.
+struct ResilienceDriver {
     store: Option<CheckpointStore>,
     cfg: TrainResilience,
     fired: FxHashSet<u64>,
+    n_items: usize,
+    batches_per_epoch: u64,
 }
 
 impl ResilienceDriver {
-    /// Builds the driver, creating the checkpoint directory if one is
-    /// configured.
-    ///
-    /// # Errors
-    /// [`TasteError::Serde`] when the directory cannot be created.
-    pub fn new(cfg: &TrainResilience) -> Result<ResilienceDriver, TasteError> {
+    /// Builds the driver for a run over `n_items` items in
+    /// `batches_per_epoch` batches, creating the checkpoint directory if
+    /// one is configured.
+    fn new(cfg: &TrainResilience, n_items: usize, batches_per_epoch: u64) -> Result<ResilienceDriver, TasteError> {
         let store = match &cfg.dir {
             Some(dir) => Some(CheckpointStore::new(dir, cfg.policy)?),
             None => None,
         };
-        Ok(ResilienceDriver { store, cfg: cfg.clone(), fired: FxHashSet::default() })
+        Ok(ResilienceDriver { store, cfg: cfg.clone(), fired: FxHashSet::default(), n_items, batches_per_epoch })
     }
 
-    /// Restores the newest intact checkpoint into `params` and `opt`,
-    /// returning its progress, or `None` when starting fresh.
+    /// A checkpoint is outside input even when its CRC holds: the
+    /// directory may have been written by a run over another dataset or
+    /// batch size. Rejects a cursor `fit` could not index with.
+    fn check_progress(&self, progress: &TrainProgress) -> Result<(), TasteError> {
+        let mut seen = vec![false; self.n_items];
+        let is_permutation = progress.order.len() == self.n_items
+            && progress.order.iter().all(|&i| {
+                seen.get_mut(i as usize).is_some_and(|s| !std::mem::replace(s, true))
+            });
+        if !is_permutation {
+            return Err(TasteError::corrupt(format!(
+                "checkpoint at step {} orders {} items, not a permutation of the {} being trained on",
+                progress.step,
+                progress.order.len(),
+                self.n_items
+            )));
+        }
+        if progress.batch >= self.batches_per_epoch {
+            return Err(TasteError::corrupt(format!(
+                "checkpoint at step {} points at batch {} of an epoch of {}",
+                progress.step, progress.batch, self.batches_per_epoch
+            )));
+        }
+        Ok(())
+    }
+
+    /// Restores the newest intact checkpoint into `params` and `opt`;
+    /// returns its progress and the number of corrupt files quarantined
+    /// on the way, or `None` when there is nothing to restore. The
+    /// progress is validated before anything is overwritten.
     ///
     /// # Errors
     /// [`TasteError::Corrupt`] when an intact-looking checkpoint does
-    /// not match the model (wrong architecture under this directory).
-    pub fn resume(&mut self, params: &mut ParamStore, opt: &mut Adam) -> Result<Option<TrainProgress>, TasteError> {
+    /// not match the model or the dataset (another run's directory).
+    fn restore_latest(
+        &self,
+        params: &mut ParamStore,
+        opt: &mut Adam,
+    ) -> Result<Option<(TrainProgress, u64)>, TasteError> {
         let Some(cs) = &self.store else { return Ok(None) };
         let outcome = cs.load_latest()?;
-        match outcome.loaded {
-            Some((ck, _path)) => {
-                let mut progress = ck.restore(params, opt)?;
+        let Some((ck, _path)) = outcome.loaded else { return Ok(None) };
+        self.check_progress(&ck.progress)?;
+        Ok(Some((ck.restore(params, opt)?, outcome.quarantined)))
+    }
+
+    /// The progress a run starts from: the newest checkpoint's, or fresh.
+    fn resume(&self, params: &mut ParamStore, opt: &mut Adam, seed: u64) -> Result<TrainProgress, TasteError> {
+        Ok(match self.restore_latest(params, opt)? {
+            Some((mut progress, quarantined)) => {
                 progress.health.resumed_from_step = Some(progress.step);
-                progress.health.checkpoints_quarantined += outcome.quarantined;
-                Ok(Some(progress))
+                progress.health.checkpoints_quarantined += quarantined;
+                progress
             }
-            None => Ok(None),
-        }
+            None => TrainProgress::fresh(self.n_items, seed),
+        })
     }
 
     /// Whether the simulated-kill point has been reached.
-    pub fn should_halt(&self, progress: &TrainProgress) -> bool {
+    fn should_halt(&self, progress: &TrainProgress) -> bool {
         self.cfg.halt_after_steps.is_some_and(|h| progress.step >= h)
     }
 
     /// Applies any one-shot fault configured for this step; returns the
     /// loss value the detector should observe.
     fn inject(&mut self, step: u64, loss: f32, params: &mut ParamStore) -> f32 {
-        if self.cfg.inject.is_empty() {
-            return loss;
-        }
         if self.cfg.inject.nan_grad_steps.contains(&step) && self.fired.insert(step) {
             if let Some(id) = params.ids().next() {
                 params.grad_mut(id).as_mut_slice()[0] = f32::NAN;
@@ -204,7 +225,7 @@ impl ResilienceDriver {
     /// [`TasteError::Training`] once the rollback budget is exhausted —
     /// the run is not converging and silently continuing would burn
     /// compute on a poisoned model.
-    pub fn after_backward(
+    fn after_backward(
         &mut self,
         params: &mut ParamStore,
         opt: &mut Adam,
@@ -222,7 +243,7 @@ impl ResilienceDriver {
             StepVerdict::Skip(anomaly) => {
                 params.zero_grads();
                 progress.health.record_anomaly(anomaly);
-                Ok(StepOutcome::Skipped(anomaly))
+                Ok(StepOutcome::Skipped)
             }
             StepVerdict::Rollback(anomaly) => {
                 params.zero_grads();
@@ -234,37 +255,26 @@ impl ResilienceDriver {
                         progress.health.rollbacks, progress.step
                     )));
                 }
-                // Live counters must survive the restore: the restored
-                // progress carries the *old* health, and rewinding the
-                // anomaly history would both under-report and reset the
-                // rollback budget.
-                let live_health = progress.health.clone();
-                let restored = match &self.store {
-                    Some(cs) => {
-                        let outcome = cs.load_latest()?;
-                        outcome.loaded.map(|(ck, _)| (ck, outcome.quarantined))
-                    }
-                    None => None,
-                };
+                let restored = self.restore_latest(params, opt)?;
+                opt.config.lr *= self.cfg.anomaly.lr_backoff;
                 match restored {
-                    Some((ck, quarantined)) => {
-                        let mut back = ck.restore(params, opt)?;
-                        back.health = live_health;
-                        back.health.checkpoints_quarantined += quarantined;
-                        opt.config.lr *= self.cfg.anomaly.lr_backoff;
-                        *progress = back;
+                    Some((back, quarantined)) => {
+                        // Live counters must survive the restore: the
+                        // restored progress carries the *old* health,
+                        // and rewinding the anomaly history would both
+                        // under-report and reset the rollback budget.
+                        let mut health = std::mem::take(&mut progress.health);
+                        health.checkpoints_quarantined += quarantined;
+                        *progress = TrainProgress { health, ..back };
                         // Persist the reduced LR and the anomaly counts
                         // immediately: a crash right after rollback must
                         // not resume at the un-reduced rate.
                         self.save_now(params, opt, progress)?;
                         Ok(StepOutcome::RolledBack)
                     }
-                    None => {
-                        // Nothing to roll back to (no checkpointing, or
-                        // no checkpoint yet): contain locally.
-                        opt.config.lr *= self.cfg.anomaly.lr_backoff;
-                        Ok(StepOutcome::Skipped(anomaly))
-                    }
+                    // Nothing to roll back to (no checkpointing, or no
+                    // checkpoint yet): contain locally.
+                    None => Ok(StepOutcome::Skipped),
                 }
             }
         }
@@ -274,14 +284,8 @@ impl ResilienceDriver {
     ///
     /// # Errors
     /// [`TasteError::Serde`] on I/O failure.
-    pub fn maybe_checkpoint(
-        &self,
-        params: &ParamStore,
-        opt: &Adam,
-        progress: &mut TrainProgress,
-    ) -> Result<(), TasteError> {
-        let due = self.store.as_ref().is_some_and(|cs| cs.policy().due(progress.step));
-        if due {
+    fn maybe_checkpoint(&self, params: &ParamStore, opt: &Adam, progress: &mut TrainProgress) -> Result<(), TasteError> {
+        if self.cfg.policy.due(progress.step) {
             self.save_now(params, opt, progress)?;
         }
         Ok(())
@@ -295,14 +299,126 @@ impl ResilienceDriver {
     }
 
     /// Packages the final state of a completed (or halted) run.
-    pub fn finish(progress: TrainProgress, opt: &Adam, halted: bool) -> ResumableReport {
+    fn finish(progress: TrainProgress, opt: &Adam, halted: bool) -> TrainReport {
         let mut health = progress.health;
         health.final_lr = opt.config.lr;
-        ResumableReport {
-            report: TrainReport { epoch_losses: progress.epoch_losses },
-            step_losses: progress.step_losses,
-            health,
-            halted,
+        TrainReport { epoch_losses: progress.epoch_losses, step_losses: progress.step_losses, health, halted }
+    }
+}
+
+/// The shape of one run: what `fit` iterates over and which parameters
+/// it holds still.
+pub(crate) struct Plan<'a> {
+    /// Items in the training set; batches index `0..n_items`.
+    pub n_items: usize,
+    /// Passes over the set.
+    pub epochs: usize,
+    /// Items per optimizer step.
+    pub batch_size: usize,
+    /// Seed of the shuffle / subsampling / masking / dropout stream.
+    pub seed: u64,
+    /// Parameters whose gradients are zeroed after every backward, so the
+    /// detector sees the effective gradient norm and the optimizer never
+    /// moves them.
+    pub frozen: &'a [ParamId],
+}
+
+/// The optimizer of MLM pre-training and head-only fine-tuning: Adam at
+/// `lr`, clipped at unit norm, warming up linearly over the first tenth
+/// of the run's `steps` and decaying over the rest.
+pub(crate) fn warmup_adam(lr: f32, steps: usize) -> Adam {
+    Adam::new(
+        AdamConfig { lr, clip_norm: 1.0, ..Default::default() },
+        LrSchedule::LinearWarmupDecay { warmup: (steps / 10).max(1), total: steps.max(2) },
+    )
+}
+
+/// Adds up a non-empty list of scalar loss nodes.
+pub(crate) fn sum_nodes(tape: &mut Tape, nodes: &[NodeId]) -> NodeId {
+    nodes[1..].iter().fold(nodes[0], |acc, &n| tape.add(acc, n))
+}
+
+/// The one training loop. `optimizer` builds the run's Adam from its
+/// total step count; `loss` builds one batch's scalar loss node on a
+/// fresh tape from the model, the batch's item indices and the run's
+/// RNG, or returns `None` when the batch has nothing to learn from (its
+/// RNG draws are kept and the cursor advances, so replay stays aligned).
+///
+/// With a checkpoint directory set, killing the process at any point and
+/// calling again with a freshly constructed model (same constructor
+/// seed) and the same configs resumes from the last checkpoint and
+/// produces **bit-identical** final parameters and per-step losses to an
+/// uninterrupted run: shuffle order, input subsampling, masking and
+/// dropout all draw from the checkpointable RNG carried in
+/// [`TrainProgress`], and parameter/moment values travel through the
+/// checkpoint as raw bits.
+///
+/// # Errors
+/// [`TasteError::InvalidArgument`] on an empty training set or a zero
+/// batch size; [`TasteError::Corrupt`] when the checkpoint directory
+/// belongs to another model or dataset; [`TasteError::Training`] when
+/// the anomaly rollback budget is exhausted; [`TasteError::Serde`] on
+/// checkpoint I/O failure.
+pub(crate) fn fit<M>(
+    model: &mut M,
+    store_of: fn(&mut M) -> &mut ParamStore,
+    plan: &Plan<'_>,
+    optimizer: impl FnOnce(usize) -> Adam,
+    res: &TrainResilience,
+    mut loss: impl FnMut(&M, &mut Tape, &[usize], &mut SplitMix64Rng) -> Option<NodeId>,
+) -> Result<TrainReport, TasteError> {
+    if plan.n_items == 0 {
+        return Err(TasteError::invalid("no training inputs"));
+    }
+    if plan.batch_size == 0 {
+        return Err(TasteError::invalid("batch_size must be at least 1"));
+    }
+    let steps_per_epoch = plan.n_items.div_ceil(plan.batch_size);
+    let batches_per_epoch = steps_per_epoch as u64;
+    let mut opt = optimizer(steps_per_epoch * plan.epochs);
+    let mut driver = ResilienceDriver::new(res, plan.n_items, batches_per_epoch)?;
+    let mut st = driver.resume(store_of(model), &mut opt, plan.seed)?;
+    let mut halted = false;
+
+    while (st.epoch as usize) < plan.epochs {
+        if driver.should_halt(&st) {
+            halted = true;
+            break;
+        }
+        // `batch == 0` always means "epoch not started": the cursor
+        // never rests at 0 mid-epoch, so shuffling here replays
+        // identically whether the epoch boundary was crossed live or
+        // restored from a checkpoint.
+        if st.batch == 0 {
+            st.order.shuffle(&mut st.rng);
+        }
+        let lo = st.batch as usize * plan.batch_size;
+        let hi = (lo + plan.batch_size).min(plan.n_items);
+        let batch: Vec<usize> = st.order[lo..hi].iter().map(|&i| i as usize).collect();
+
+        let mut tape = Tape::new();
+        let Some(total) = loss(model, &mut tape, &batch, &mut st.rng) else {
+            st.advance(batches_per_epoch);
+            continue;
+        };
+        // A non-finite loss is not fatal: it flows to the detector,
+        // which skips (or rolls back) the step.
+        let loss_val = tape.value(total).item();
+        tape.backward(total);
+        let store = store_of(model);
+        tape.accumulate_param_grads(store);
+        for &id in plan.frozen {
+            store.grad_mut(id).fill_zero();
+        }
+        match driver.after_backward(store, &mut opt, &mut st, loss_val)? {
+            StepOutcome::Applied => {
+                st.record_loss(loss_val);
+                st.advance(batches_per_epoch);
+                driver.maybe_checkpoint(store, &opt, &mut st)?;
+            }
+            StepOutcome::Skipped => st.advance(batches_per_epoch),
+            StepOutcome::RolledBack => {} // cursor rewound; just loop
         }
     }
+    Ok(ResilienceDriver::finish(st, &opt, halted))
 }

@@ -1,20 +1,18 @@
-//! Fine-tuning loops (§6.1.3: 20 epochs of full fine-tuning per dataset).
+//! Fine-tuning (§6.1.3: 20 epochs of full fine-tuning per dataset).
 //!
 //! ADTD trains with per-tower multi-label BCE combined by the automatic
 //! weighted loss; gradients from both towers flow into the shared
-//! encoder. Baselines train with a single BCE.
+//! encoder. Baselines train with a single BCE. Both are loss closures
+//! over the one loop in [`crate::resilience`].
 
 use crate::adtd::Adtd;
 use crate::baselines::SingleTower;
 use crate::prepare::ModelInput;
-use crate::resilience::{ResilienceDriver, ResumableReport, StepOutcome, TrainResilience};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use crate::resilience::{fit, sum_nodes, Plan, TrainResilience};
 use serde::{Deserialize, Serialize};
 use taste_core::TasteError;
-use taste_nn::checkpoint::TrainProgress;
-use taste_nn::losses::multilabel_bce;
-use taste_nn::{Adam, AdamConfig, LrSchedule, Matrix, Tape};
+use taste_nn::guard::TrainingHealth;
+use taste_nn::{Adam, AdamConfig, LrSchedule, Matrix, NodeId, Tape};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -60,11 +58,18 @@ impl Default for TrainConfig {
     }
 }
 
-/// Per-epoch mean losses.
+/// What a training run returns alongside the trained model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainReport {
-    /// Mean combined loss per epoch.
+    /// Mean loss of each completed epoch, over its applied steps.
     pub epoch_losses: Vec<f32>,
+    /// Loss of every applied optimizer step, across kills and resumes.
+    pub step_losses: Vec<f32>,
+    /// Anomaly and checkpoint telemetry.
+    pub health: TrainingHealth,
+    /// Whether the run stopped at `halt_after_steps` rather than
+    /// completing its epochs.
+    pub halted: bool,
 }
 
 impl TrainReport {
@@ -87,240 +92,110 @@ fn make_optimizer(cfg: &TrainConfig, total_steps: usize) -> Adam {
     )
 }
 
-/// Fine-tunes an [`Adtd`] on prepared inputs.
-///
-/// # Errors
-/// Returns [`TasteError::Training`] if a non-finite loss appears.
-pub fn train_adtd(model: &mut Adtd, inputs: &[ModelInput], cfg: &TrainConfig) -> Result<TrainReport, TasteError> {
-    if inputs.is_empty() {
-        return Err(TasteError::invalid("no training inputs"));
-    }
-    let steps_per_epoch = inputs.len().div_ceil(cfg.batch_size);
-    let mut opt = make_optimizer(cfg, steps_per_epoch * cfg.epochs);
-    let mut order: Vec<usize> = (0..inputs.len()).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-
-    for _epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut steps = 0usize;
-        for batch in order.chunks(cfg.batch_size) {
-            let mut tape = Tape::new();
-            let mut meta_losses = Vec::new();
-            let mut content_losses = Vec::new();
-            let mut meta_cols = 0usize;
-            let mut content_cols_total = 0usize;
-            for &i in batch {
-                let input = inputs[i].shuffled(&mut rng);
-                let input = &input;
-                let fwd = model.forward_train(&mut tape, input, Some(&mut rng));
-                let targets = Matrix::from_rows(&input.targets);
-                meta_cols += input.targets.len();
-                meta_losses.push(tape.bce_with_logits_weighted_sum(fwd.meta_logits, targets, cfg.pos_weight));
-                if let Some(logits) = fwd.content_logits {
-                    let sub: Vec<Vec<f32>> = fwd
-                        .content_cols
-                        .iter()
-                        .map(|&j| input.targets[j].clone())
-                        .collect();
-                    content_cols_total += sub.len();
-                    content_losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&sub), cfg.pos_weight));
-                }
-            }
-            let meta_sum = sum_nodes(&mut tape, &meta_losses);
-            let meta_loss = tape.scale(meta_sum, 1.0 / meta_cols.max(1) as f32);
-            let content_loss = if content_losses.is_empty() {
-                tape.leaf(taste_nn::Matrix::scalar(0.0))
-            } else {
-                let s = sum_nodes(&mut tape, &content_losses);
-                tape.scale(s, 1.0 / content_cols_total.max(1) as f32)
-            };
-            let total = model.awl.combine(&mut tape, &model.store, &[meta_loss, content_loss]);
-            let loss_val = tape.value(total).item();
-            if !loss_val.is_finite() {
-                return Err(TasteError::Training(format!("non-finite loss {loss_val}")));
-            }
-            tape.backward(total);
-            tape.accumulate_param_grads(&mut model.store);
-            if cfg.freeze_awl {
-                model.store.grad_mut(model.awl.weights).fill_zero();
-            }
-            opt.step(&mut model.store);
-            epoch_loss += f64::from(loss_val);
-            steps += 1;
-        }
-        epoch_losses.push((epoch_loss / steps.max(1) as f64) as f32);
-    }
-    Ok(TrainReport { epoch_losses })
+fn plan<'a>(inputs: &[ModelInput], cfg: &TrainConfig, frozen: &'a [taste_nn::ParamId]) -> Plan<'a> {
+    Plan { n_items: inputs.len(), epochs: cfg.epochs, batch_size: cfg.batch_size, seed: cfg.seed, frozen }
 }
 
-/// Crash-safe variant of [`train_adtd`]: periodic full-state
-/// checkpoints, resume-on-start, and numerical-fault containment, all
-/// configured by `res`.
-///
-/// With a checkpoint directory set, killing the process at any point
-/// and calling this again with a freshly constructed model (same
-/// constructor seed) and the same configs resumes from the last
-/// checkpoint and produces **bit-identical** final parameters and
-/// per-step losses to an uninterrupted run: the loop's shuffle order,
-/// input subsampling, and dropout all draw from a checkpointable RNG
-/// carried in [`TrainProgress`], and parameter/moment values travel
-/// through the checkpoint as raw bits.
+/// One input's weighted-BCE sums through both towers: the metadata
+/// tower's over every column, and the content tower's with the number
+/// of columns it covers, when any column has content.
+pub(crate) fn tower_bce_sums(
+    model: &Adtd,
+    tape: &mut Tape,
+    input: &ModelInput,
+    dropout_rng: Option<&mut dyn rand::RngCore>,
+    pos_weight: f32,
+) -> (NodeId, Option<(NodeId, usize)>) {
+    let fwd = model.forward_train(tape, input, dropout_rng);
+    let meta = tape.bce_with_logits_weighted_sum(fwd.meta_logits, Matrix::from_rows(&input.targets), pos_weight);
+    let content = fwd.content_logits.map(|logits| {
+        let sub: Vec<Vec<f32>> = fwd.content_cols.iter().map(|&j| input.targets[j].clone()).collect();
+        (tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&sub), pos_weight), sub.len())
+    });
+    (meta, content)
+}
+
+/// Fine-tunes an [`Adtd`] on prepared inputs: per-tower multi-label BCE
+/// combined by the automatic weighted loss, through the one
+/// checkpointable, anomaly-guarded loop (see [`crate::resilience`]; pass
+/// `&TrainResilience::default()` to train without checkpoints).
 ///
 /// # Errors
-/// [`TasteError::InvalidArgument`] on empty input;
-/// [`TasteError::Training`] when the anomaly rollback budget is
-/// exhausted; [`TasteError::Serde`] on checkpoint I/O failure.
-pub fn train_adtd_resumable(
+/// [`TasteError::InvalidArgument`] on empty input or a zero batch size;
+/// [`TasteError::Corrupt`] when `res.dir` holds another run's
+/// checkpoints; [`TasteError::Training`] when the anomaly rollback
+/// budget is exhausted; [`TasteError::Serde`] on checkpoint I/O failure.
+pub fn train_adtd(
     model: &mut Adtd,
     inputs: &[ModelInput],
     cfg: &TrainConfig,
     res: &TrainResilience,
-) -> Result<ResumableReport, TasteError> {
-    if inputs.is_empty() {
-        return Err(TasteError::invalid("no training inputs"));
-    }
-    let steps_per_epoch = inputs.len().div_ceil(cfg.batch_size);
-    let mut opt = make_optimizer(cfg, steps_per_epoch * cfg.epochs);
-    let mut driver = ResilienceDriver::new(res)?;
-    let mut st = match driver.resume(&mut model.store, &mut opt)? {
-        Some(progress) => progress,
-        None => TrainProgress::fresh(inputs.len(), cfg.seed),
-    };
-    let batches_per_epoch = steps_per_epoch as u64;
-    let mut halted = false;
-
-    while (st.epoch as usize) < cfg.epochs {
-        if driver.should_halt(&st) {
-            halted = true;
-            break;
-        }
-        // `batch == 0` always means "epoch not started": the cursor
-        // never rests at 0 mid-epoch, so shuffling here replays
-        // identically whether the epoch boundary was crossed live or
-        // restored from a checkpoint.
-        if st.batch == 0 {
-            st.order.shuffle(&mut st.rng);
-        }
-        let lo = st.batch as usize * cfg.batch_size;
-        let hi = (lo + cfg.batch_size).min(inputs.len());
-        let batch: Vec<usize> = st.order[lo..hi].iter().map(|&i| i as usize).collect();
-
-        let mut tape = Tape::new();
-        let mut meta_losses = Vec::new();
-        let mut content_losses = Vec::new();
-        let mut meta_cols = 0usize;
-        let mut content_cols_total = 0usize;
-        for &i in &batch {
-            let input = inputs[i].shuffled(&mut st.rng);
-            let input = &input;
-            let fwd = model.forward_train(&mut tape, input, Some(&mut st.rng));
-            let targets = Matrix::from_rows(&input.targets);
-            meta_cols += input.targets.len();
-            meta_losses.push(tape.bce_with_logits_weighted_sum(fwd.meta_logits, targets, cfg.pos_weight));
-            if let Some(logits) = fwd.content_logits {
-                let sub: Vec<Vec<f32>> = fwd
-                    .content_cols
-                    .iter()
-                    .map(|&j| input.targets[j].clone())
-                    .collect();
-                content_cols_total += sub.len();
-                content_losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&sub), cfg.pos_weight));
+) -> Result<TrainReport, TasteError> {
+    let frozen = if cfg.freeze_awl { vec![model.awl.weights] } else { Vec::new() };
+    fit(
+        model,
+        |m| &mut m.store,
+        &plan(inputs, cfg, &frozen),
+        |total_steps| make_optimizer(cfg, total_steps),
+        res,
+        |model, tape, batch, rng| {
+            let mut meta_losses = Vec::new();
+            let mut content_losses = Vec::new();
+            let mut meta_cols = 0usize;
+            let mut content_cols = 0usize;
+            for &i in batch {
+                let input = inputs[i].shuffled(rng);
+                let (meta, content) = tower_bce_sums(model, tape, &input, Some(&mut *rng), cfg.pos_weight);
+                meta_cols += input.targets.len();
+                meta_losses.push(meta);
+                if let Some((node, cols)) = content {
+                    content_cols += cols;
+                    content_losses.push(node);
+                }
             }
-        }
-        let meta_sum = sum_nodes(&mut tape, &meta_losses);
-        let meta_loss = tape.scale(meta_sum, 1.0 / meta_cols.max(1) as f32);
-        let content_loss = if content_losses.is_empty() {
-            tape.leaf(taste_nn::Matrix::scalar(0.0))
-        } else {
-            let s = sum_nodes(&mut tape, &content_losses);
-            tape.scale(s, 1.0 / content_cols_total.max(1) as f32)
-        };
-        let total = model.awl.combine(&mut tape, &model.store, &[meta_loss, content_loss]);
-        let loss_val = tape.value(total).item();
-        // Unlike `train_adtd`, a non-finite loss is not fatal here: it
-        // flows to the detector, which skips (or rolls back) the step.
-        tape.backward(total);
-        tape.accumulate_param_grads(&mut model.store);
-        if cfg.freeze_awl {
-            model.store.grad_mut(model.awl.weights).fill_zero();
-        }
-        match driver.after_backward(&mut model.store, &mut opt, &mut st, loss_val)? {
-            StepOutcome::Applied => {
-                st.record_loss(loss_val);
-                st.advance(batches_per_epoch);
-                driver.maybe_checkpoint(&model.store, &opt, &mut st)?;
-            }
-            StepOutcome::Skipped(_) => st.advance(batches_per_epoch),
-            StepOutcome::RolledBack => {} // cursor rewound; just loop
-        }
-    }
-    Ok(ResilienceDriver::finish(st, &opt, halted))
+            let meta_sum = sum_nodes(tape, &meta_losses);
+            let meta_loss = tape.scale(meta_sum, 1.0 / meta_cols.max(1) as f32);
+            let content_loss = if content_losses.is_empty() {
+                tape.leaf(Matrix::scalar(0.0))
+            } else {
+                let s = sum_nodes(tape, &content_losses);
+                tape.scale(s, 1.0 / content_cols.max(1) as f32)
+            };
+            Some(model.awl.combine(tape, &model.store, &[meta_loss, content_loss]))
+        },
+    )
 }
 
-/// Fine-tunes a [`SingleTower`] baseline on prepared inputs.
+/// Fine-tunes a [`SingleTower`] baseline on prepared inputs with a
+/// single BCE, through the same loop as [`train_adtd`].
 ///
 /// # Errors
-/// Returns [`TasteError::Training`] if a non-finite loss appears.
+/// As [`train_adtd`].
 pub fn train_single_tower(
     model: &mut SingleTower,
     inputs: &[ModelInput],
     cfg: &TrainConfig,
+    res: &TrainResilience,
 ) -> Result<TrainReport, TasteError> {
-    if inputs.is_empty() {
-        return Err(TasteError::invalid("no training inputs"));
-    }
-    let steps_per_epoch = inputs.len().div_ceil(cfg.batch_size);
-    let mut opt = make_optimizer(cfg, steps_per_epoch * cfg.epochs);
-    let mut order: Vec<usize> = (0..inputs.len()).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-
-    for _epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut steps = 0usize;
-        for batch in order.chunks(cfg.batch_size) {
-            let mut tape = Tape::new();
+    fit(
+        model,
+        |m| &mut m.store,
+        &plan(inputs, cfg, &[]),
+        |total_steps| make_optimizer(cfg, total_steps),
+        res,
+        |model, tape, batch, rng| {
             let mut losses = Vec::new();
             let mut cols = 0usize;
             for &i in batch {
-                let input = inputs[i].shuffled(&mut rng);
-                let input = &input;
-                let logits = model.forward_train(&mut tape, input);
+                let input = inputs[i].shuffled(rng);
+                let logits = model.forward_train(tape, &input);
                 cols += input.targets.len();
                 losses.push(tape.bce_with_logits_weighted_sum(logits, Matrix::from_rows(&input.targets), cfg.pos_weight));
             }
-            let sum = sum_nodes(&mut tape, &losses);
-            let loss = tape.scale(sum, 1.0 / cols.max(1) as f32);
-            let loss_val = tape.value(loss).item();
-            if !loss_val.is_finite() {
-                return Err(TasteError::Training(format!("non-finite loss {loss_val}")));
-            }
-            tape.backward(loss);
-            tape.accumulate_param_grads(&mut model.store);
-            opt.step(&mut model.store);
-            epoch_loss += f64::from(loss_val);
-            steps += 1;
-        }
-        epoch_losses.push((epoch_loss / steps.max(1) as f64) as f32);
-    }
-    Ok(TrainReport { epoch_losses })
-}
-
-fn sum_nodes(tape: &mut Tape, nodes: &[taste_nn::NodeId]) -> taste_nn::NodeId {
-    let mut acc = nodes[0];
-    for &n in &nodes[1..] {
-        acc = tape.add(acc, n);
-    }
-    acc
-}
-
-/// Equivalent of [`multilabel_bce`] exposed for tests that need the same
-/// normalization the trainer applies.
-pub fn eval_bce(tape: &mut Tape, logits: taste_nn::NodeId, targets: taste_nn::Matrix, batch: usize) -> taste_nn::NodeId {
-    multilabel_bce(tape, logits, targets, batch)
+            let sum = sum_nodes(tape, &losses);
+            Some(tape.scale(sum, 1.0 / cols.max(1) as f32))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -375,7 +250,7 @@ mod tests {
     fn adtd_learns_separable_toy_task() {
         let mut model = Adtd::new(ModelConfig::tiny(), tokenizer(), 3, 0);
         let inputs = toy_inputs(16);
-        let report = train_adtd(&mut model, &inputs, &quick_cfg()).unwrap();
+        let report = train_adtd(&mut model, &inputs, &quick_cfg(), &TrainResilience::default()).unwrap();
         assert!(report.improved(), "losses: {:?}", report.epoch_losses);
         // Both towers should now classify the toy task.
         let input = &inputs[0];
@@ -398,7 +273,7 @@ mod tests {
         for kind in [BaselineKind::Turl, BaselineKind::Doduo] {
             let mut model = SingleTower::new(kind, &ModelConfig::tiny(), tokenizer(), 3, 0);
             let inputs = toy_inputs(16);
-            let report = train_single_tower(&mut model, &inputs, &quick_cfg()).unwrap();
+            let report = train_single_tower(&mut model, &inputs, &quick_cfg(), &TrainResilience::default()).unwrap();
             assert!(report.improved(), "{kind:?} losses: {:?}", report.epoch_losses);
             let probs = model.predict(&inputs[1].chunk, &inputs[1].contents);
             assert!(probs[0][2] > probs[0][1], "{kind:?} should prefer type 2: {:?}", probs[0]);
@@ -407,10 +282,11 @@ mod tests {
 
     #[test]
     fn empty_inputs_error() {
+        let res = TrainResilience::default();
         let mut model = Adtd::new(ModelConfig::tiny(), tokenizer(), 3, 0);
-        assert!(train_adtd(&mut model, &[], &quick_cfg()).is_err());
+        assert!(train_adtd(&mut model, &[], &quick_cfg(), &res).is_err());
         let mut st = SingleTower::new(BaselineKind::Turl, &ModelConfig::tiny(), tokenizer(), 3, 0);
-        assert!(train_single_tower(&mut st, &[], &quick_cfg()).is_err());
+        assert!(train_single_tower(&mut st, &[], &quick_cfg(), &res).is_err());
     }
 
     #[test]
@@ -418,7 +294,7 @@ mod tests {
         let run = |seed| {
             let mut model = Adtd::new(ModelConfig::tiny(), tokenizer(), 3, 7);
             let cfg = TrainConfig { seed, epochs: 2, ..quick_cfg() };
-            train_adtd(&mut model, &toy_inputs(8), &cfg).unwrap().epoch_losses
+            train_adtd(&mut model, &toy_inputs(8), &cfg, &TrainResilience::default()).unwrap().epoch_losses
         };
         assert_eq!(run(1), run(1));
     }
@@ -427,7 +303,7 @@ mod tests {
     fn awl_weights_move_during_training() {
         let mut model = Adtd::new(ModelConfig::tiny(), tokenizer(), 3, 0);
         let w_before = model.store.value(model.awl.weights).clone();
-        train_adtd(&mut model, &toy_inputs(8), &quick_cfg()).unwrap();
+        train_adtd(&mut model, &toy_inputs(8), &quick_cfg(), &TrainResilience::default()).unwrap();
         let w_after = model.store.value(model.awl.weights).clone();
         assert_ne!(w_before, w_after, "AWL weights should be learnable");
     }

@@ -23,6 +23,7 @@ use taste_data::load::load_split;
 use taste_db::Throttle;
 use taste_model::prepare::ModelInput;
 use taste_model::trainer::train_adtd;
+use taste_model::TrainResilience;
 use taste_tokenizer::normalize;
 
 const SEED: u64 = 29;
@@ -81,6 +82,7 @@ fn main() {
         &mut model,
         &training_inputs(&corpus),
         &TrainConfig { epochs: 8, lr: 2.5e-3, pos_weight: 8.0, ..Default::default() },
+        &TrainResilience::default(),
     )
     .expect("training");
 

@@ -19,6 +19,7 @@ use taste::prelude::*;
 use taste_data::load::load_split;
 use taste_model::prepare::ModelInput;
 use taste_model::trainer::train_adtd;
+use taste_model::TrainResilience;
 use taste_tokenizer::normalize;
 
 /// The semantic types this audit treats as PII.
@@ -119,6 +120,7 @@ fn main() {
         &mut model,
         &training_inputs(&corpus),
         &TrainConfig { epochs: 16, lr: 2.5e-3, pos_weight: 8.0, ..Default::default() },
+        &TrainResilience::default(),
     )
     .expect("training");
     println!("epoch losses: {:?}", report.epoch_losses);

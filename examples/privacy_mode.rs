@@ -16,6 +16,7 @@ use taste::prelude::*;
 use taste_data::load::load_split;
 use taste_model::prepare::ModelInput;
 use taste_model::trainer::train_adtd;
+use taste_model::TrainResilience;
 use taste_tokenizer::normalize;
 
 fn main() {
@@ -64,7 +65,13 @@ fn main() {
         }
     }
     let mut model = Adtd::new(ModelConfig::small(), tokenizer, ntypes, 42);
-    train_adtd(&mut model, &inputs, &TrainConfig { epochs: 10, lr: 2.5e-3, pos_weight: 8.0, ..Default::default() }).expect("train");
+    train_adtd(
+        &mut model,
+        &inputs,
+        &TrainConfig { epochs: 10, lr: 2.5e-3, pos_weight: 8.0, ..Default::default() },
+        &TrainResilience::default(),
+    )
+    .expect("train");
     let model = Arc::new(model);
 
     let tenant = load_split(&corpus, Split::Test, LatencyProfile::cloud(), None).expect("tenant db");

@@ -16,6 +16,7 @@ use taste::prelude::*;
 use taste_data::load::load_split;
 use taste_model::prepare::ModelInput;
 use taste_model::trainer::train_adtd;
+use taste_model::TrainResilience;
 use taste_tokenizer::normalize;
 
 /// Builds training inputs whose catalog statistics come from an ANALYZEd
@@ -80,6 +81,7 @@ fn main() {
         &mut model,
         &inputs,
         &TrainConfig { epochs: 10, lr: 2.5e-3, pos_weight: 8.0, ..Default::default() },
+        &TrainResilience::default(),
     )
     .expect("training");
     println!("epoch losses: {:?}", report.epoch_losses);

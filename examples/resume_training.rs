@@ -16,7 +16,7 @@
 
 use taste_model::features::NONMETA_DIM;
 use taste_model::prepare::{ModelInput, TableChunk};
-use taste_model::trainer::train_adtd_resumable;
+use taste_model::trainer::train_adtd;
 use taste_model::{Adtd, FaultInjection, ModelConfig, TrainConfig, TrainResilience};
 use taste_nn::checkpoint::CheckpointPolicy;
 use taste_nn::ParamStore;
@@ -82,11 +82,11 @@ fn main() {
 
     // Reference: the same run, uninterrupted and without checkpoints.
     let mut reference = model();
-    let full = train_adtd_resumable(&mut reference, &inputs, &cfg, &TrainResilience::default())
+    let full = train_adtd(&mut reference, &inputs, &cfg, &TrainResilience::default())
         .expect("reference run");
     println!(
         "uninterrupted: {} steps, epoch losses {:?}",
-        full.health.steps_applied, full.report.epoch_losses
+        full.health.steps_applied, full.epoch_losses
     );
 
     // Checkpoint every 4 steps, and kill the run after step 17.
@@ -97,7 +97,7 @@ fn main() {
         ..TrainResilience::default()
     };
     let mut victim = model();
-    let halted = train_adtd_resumable(&mut victim, &inputs, &cfg, &res).expect("halted run");
+    let halted = train_adtd(&mut victim, &inputs, &cfg, &res).expect("halted run");
     assert!(halted.halted);
     println!(
         "killed at step 17 ({} checkpoints on disk under {})",
@@ -109,7 +109,7 @@ fn main() {
     // newest checkpoint and finishes the schedule.
     let res = TrainResilience { halt_after_steps: None, ..res };
     let mut revived = model();
-    let resumed = train_adtd_resumable(&mut revived, &inputs, &cfg, &res).expect("resumed run");
+    let resumed = train_adtd(&mut revived, &inputs, &cfg, &res).expect("resumed run");
     println!(
         "resumed from step {:?}, finished with {} total applied steps",
         resumed.health.resumed_from_step, resumed.health.steps_applied
@@ -131,7 +131,7 @@ fn main() {
         ..TrainResilience::default()
     };
     let mut guarded = model();
-    let report = train_adtd_resumable(&mut guarded, &inputs, &cfg, &res).expect("guarded run");
+    let report = train_adtd(&mut guarded, &inputs, &cfg, &res).expect("guarded run");
     println!(
         "injected NaN gradient: {} applied, {} skipped ({} non-finite-grad), rollbacks {}",
         report.health.steps_applied,
