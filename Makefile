@@ -1,6 +1,6 @@
 # Convenience targets for the TASTE reproduction workspace.
 
-.PHONY: verify build test clippy examples crash-resume train-resume repro overload-sweep swap-bench perf-smoke sched-1core
+.PHONY: verify build test clippy examples crash-resume train-resume repro overload-sweep swap-bench perf-smoke sched-1core loc
 
 # The one gate every change must pass.
 verify:
@@ -26,15 +26,25 @@ examples:
 		$(CARGO) run --release --quiet --example $$e; \
 	done
 
-# The release-mode kill-and-resume scenarios (too slow for `verify`).
+# Everything that proves durable state in release mode (too slow, or too
+# exhaustive, for `verify`): the fault matrix over the two primitives in
+# `taste_core::durable`, the serving kill-and-resume scenarios and the
+# training kill-and-resume scenario.
 crash-resume:
+	cargo test --release -p taste-core --lib durable
 	cargo test --release -p taste-framework --test crash_resume -- --ignored
-
-# Release-mode training kill/resume scenario plus the quick-scale
-# checkpoint-overhead benchmark (writes results/BENCH_train.json).
-train-resume:
 	cargo test --release -p taste-model --test train_resume -- --ignored
+
+# The quick-scale checkpoint-overhead benchmark (writes
+# results/BENCH_train.json; ROADMAP item 1 retires it).
+train-resume:
 	TASTE_REPRO_SCALE=quick cargo run -p taste-bench --release --bin repro -- train_resume
+
+# Non-test lines per file: everything above the first `#[cfg(test)]`, the
+# count simplicity PRs report. `make loc FILES="a.rs b.rs"`.
+loc:
+	@for f in $(FILES); do awk -v f=$$f '/^#\[cfg\(test\)\]/{exit} {n++} END{printf "%6d %s\n", n, f}' $$f; done \
+		| awk '{s+=$$1; print} END{printf "%6d total\n", s}'
 
 # Quick-scale reproduction of every table and figure.
 repro:

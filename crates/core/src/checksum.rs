@@ -1,23 +1,15 @@
 //! CRC32C checksums and torn-write-safe record framing.
 //!
-//! The crash-safety layer persists state (the verdict journal, cached P1
-//! latents) as append-only streams of self-validating records. Each
-//! record is framed as
+//! The crash-safety layer ([`crate::durable`]) persists state as
+//! self-validating records. Each record is framed as
 //!
 //! ```text
 //! [magic: u32 LE] [len: u32 LE] [len ^ LEN_GUARD: u32 LE] [crc32c(payload): u32 LE] [payload]
 //! ```
 //!
-//! The duplicated, guard-XORed length lets a reader distinguish the two
-//! failure modes that matter after a crash or bit-rot:
-//!
-//! * **Torn tail** — the process died mid-append, or the header itself is
-//!   damaged. The length cannot be trusted, so decoding stops here and
-//!   the caller truncates the stream at this offset.
-//! * **Corrupt payload** — the header validates (magic and both length
-//!   copies agree) but the payload fails its CRC. The record's extent is
-//!   still known, so the caller can quarantine it and keep reading the
-//!   records behind it.
+//! The duplicated, guard-XORed length lets a reader tell a record whose
+//! extent is known but whose payload is damaged from a header that cannot
+//! be trusted at all — see [`DecodeStep`].
 //!
 //! CRC32C (Castagnoli) is used over plain CRC32 for its better error
 //! detection on short records; the implementation is a table-driven
@@ -93,9 +85,9 @@ pub enum DecodeStep<'a> {
         /// Total bytes occupied by the corrupt record.
         consumed: usize,
     },
-    /// Not a decodable record: the stream ends here (mid-write crash or a
-    /// damaged header whose length cannot be trusted). Truncate from this
-    /// offset.
+    /// Not a decodable record: a mid-write crash, or a damaged header whose
+    /// length cannot be trusted. Truncate from this offset, or resume at the
+    /// next offset where a whole record starts.
     TornTail,
 }
 
@@ -124,25 +116,6 @@ pub fn decode_record(buf: &[u8]) -> DecodeStep<'_> {
         return DecodeStep::CorruptPayload { consumed: total };
     }
     DecodeStep::Record { payload, consumed: total }
-}
-
-/// Replaces `path` with `bytes`, durably: the bytes go to `tmp` (a
-/// sibling of `path`) and are fsynced, `tmp` is renamed over `path`, and
-/// the directory is fsynced best-effort — so neither a crash mid-write
-/// nor a power loss after it leaves a half-written file under the real
-/// name. The one writer behind checkpoints, model artifacts and the
-/// persisted latent cache.
-pub fn write_atomic(path: &std::path::Path, tmp: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::File::create(tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(tmp, path)?;
-    if let Some(dir) = path.parent().and_then(|p| std::fs::File::open(p).ok()) {
-        let _ = dir.sync_all();
-    }
-    Ok(())
 }
 
 #[cfg(test)]

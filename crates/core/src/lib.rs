@@ -19,13 +19,16 @@
 //! * [`outcome`] — per-table terminal outcomes of a detection batch
 //!   ([`TableOutcome`]): completed, degraded, failed, panicked,
 //!   timed-out, shed (with a [`ShedReason`]), rejected, or cancelled.
-//! * [`checksum`] — CRC32C, torn-write-safe record framing and the one
-//!   durable replace-a-file writer for the crash-safety layer (verdict
-//!   journal, latent-cache persistence, checkpoints, model artifacts).
+//! * [`checksum`] — CRC32C and torn-write-safe record framing.
+//! * [`durable`] — the two primitives every on-disk store is a codec
+//!   over: a versioned atomic-publish directory (checkpoints, model
+//!   artifacts) and a framed log (verdict journal, latent-cache file),
+//!   with the one corrupt-vs-unreadable-vs-foreign rule.
 
 #![warn(missing_docs)]
 
 pub mod checksum;
+pub mod durable;
 pub mod error;
 pub mod histogram;
 pub mod labels;

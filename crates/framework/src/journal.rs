@@ -1,13 +1,13 @@
 //! The resumable verdict journal.
 //!
 //! Every table that reaches a *final* outcome during a journaled run has
-//! its verdicts appended here as one self-validating record (length
-//! prefix + CRC32C, see [`taste_core::checksum`]). If the process dies
-//! mid-batch, [`replay`] recovers every fully-written record, truncates
-//! the torn tail left by an interrupted `write`, and quarantines (skips
-//! and counts) any record whose payload no longer matches its checksum —
-//! so [`crate::TasteEngine::resume`] can skip finished tables and run
-//! only the remainder.
+//! its verdicts appended here as one record of a
+//! [`taste_core::durable::FramedLog`]. If the process dies mid-batch,
+//! [`replay`] recovers every fully-written record, truncates the torn
+//! tail left by an interrupted `write`, and quarantines (skips and
+//! counts) any record that fails its checksum, does not decode, or
+//! carries a non-final outcome — so [`crate::TasteEngine::resume`] can
+//! skip finished tables and run only the remainder.
 //!
 //! Cancelled tables are deliberately *not* journaled: cancellation is a
 //! non-final outcome, and leaving those tables out of the journal is
@@ -15,10 +15,8 @@
 
 use crate::report::{ResilienceSummary, TableResult};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use taste_core::checksum::{decode_record, encode_record, DecodeStep};
+use std::path::Path;
+use taste_core::durable::FramedLog;
 use taste_core::{LabelSet, Result, TableId, TableOutcome, TasteError};
 
 /// One journaled table: its final outcome and everything needed to
@@ -62,37 +60,31 @@ impl JournalRecord {
     }
 }
 
-/// Append-only journal writer. Each [`append`](JournalWriter::append)
-/// frames the record with [`encode_record`], writes it in one `write_all`
-/// and flushes, so a crash can tear at most the final record.
+/// Append-only journal writer: each [`append`](JournalWriter::append) is
+/// one [`FramedLog::append`], so a crash can tear at most the final record.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: File,
-    path: PathBuf,
+    log: FramedLog,
 }
 
 impl JournalWriter {
     /// Creates (or truncates) a journal at `path`.
     pub fn create(path: &Path) -> Result<JournalWriter> {
-        let file = File::create(path)
-            .map_err(|e| TasteError::Serde(format!("create journal {}: {e}", path.display())))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
+        let log = FramedLog::at(path);
+        log.rewrite([])?;
+        Ok(JournalWriter { log })
     }
 
     /// Opens an existing journal for appending. Call only after
     /// [`replay`] has repaired the tail, so appends land on a record
     /// boundary.
     pub fn append_to(path: &Path) -> Result<JournalWriter> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| TasteError::Serde(format!("open journal {}: {e}", path.display())))?;
-        Ok(JournalWriter { file, path: path.to_path_buf() })
+        Ok(JournalWriter { log: FramedLog::open(path)? })
     }
 
     /// The journal's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Appends one record and flushes it to the OS.
@@ -100,14 +92,7 @@ impl JournalWriter {
         debug_assert!(record.outcome.is_final(), "only final outcomes are journaled");
         let payload = serde_json::to_vec(record)
             .map_err(|e| TasteError::Serde(format!("encode journal record: {e}")))?;
-        let framed = encode_record(&payload);
-        self.file
-            .write_all(&framed)
-            .and_then(|()| self.file.flush())
-            .map_err(|e| TasteError::Serde(format!("append to journal {}: {e}", self.path.display())))?;
-        // Best-effort durability; the record is already torn-tail-safe.
-        let _ = self.file.sync_data();
-        Ok(())
+        self.log.append(&payload)
     }
 }
 
@@ -128,48 +113,30 @@ pub struct JournalReplay {
 /// and counting corrupt ones, and truncates the file past the last
 /// decodable boundary so subsequent appends are well-framed.
 pub fn replay(path: &Path) -> Result<JournalReplay> {
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(path)
-        .map_err(|e| TasteError::Serde(format!("open journal {}: {e}", path.display())))?;
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)
-        .map_err(|e| TasteError::Serde(format!("read journal {}: {e}", path.display())))?;
-
-    let mut replay = JournalReplay::default();
-    let mut offset = 0usize;
-    while offset < buf.len() {
-        match decode_record(&buf[offset..]) {
-            DecodeStep::Record { payload, consumed } => {
-                match serde_json::from_slice::<JournalRecord>(payload) {
-                    Ok(record) => replay.records.push(record),
-                    // Checksum held but the payload is not a record we
-                    // understand: quarantine it like a corrupt one.
-                    Err(_) => replay.corrupt_records += 1,
-                }
-                offset += consumed;
-            }
-            DecodeStep::CorruptPayload { consumed } => {
-                replay.corrupt_records += 1;
-                offset += consumed;
-            }
-            DecodeStep::TornTail => {
-                replay.torn_tail = true;
-                replay.truncated_bytes = (buf.len() - offset) as u64;
-                file.set_len(offset as u64)
-                    .map_err(|e| TasteError::Serde(format!("truncate journal {}: {e}", path.display())))?;
-                break;
-            }
+    let mut records = Vec::new();
+    // A record whose checksum holds is still outside input: it must decode,
+    // and a non-final outcome replayed as final would make `resume` skip a
+    // table that never finished.
+    let scan = FramedLog::at(path).scan(true, |payload| match serde_json::from_slice::<JournalRecord>(payload) {
+        Ok(record) if record.outcome.is_final() => {
+            records.push(record);
+            true
         }
-    }
-    Ok(replay)
+        _ => false,
+    })?;
+    Ok(JournalReplay {
+        records,
+        corrupt_records: scan.corrupt,
+        torn_tail: scan.torn_bytes > 0,
+        truncated_bytes: scan.torn_bytes as u64,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
+    use std::path::PathBuf;
     use taste_core::TypeId;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -263,6 +230,30 @@ mod tests {
             vec![TableId(0), TableId(2)],
             "the records around the corrupt one must survive"
         );
+        assert!(!replay.torn_tail);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A record the writer would never append is outside input even when
+    /// its checksum holds: replayed as final, `Cancelled` / `Rejected` would
+    /// make `resume` skip a table that never finished.
+    #[test]
+    fn non_final_records_are_quarantined() {
+        let path = temp_path("nonfinal");
+        let payloads: Vec<Vec<u8>> = [
+            record(0, TableOutcome::Completed),
+            record(1, TableOutcome::Cancelled),
+            record(2, TableOutcome::Rejected),
+            record(3, TableOutcome::Degraded),
+        ]
+        .iter()
+        .map(|r| serde_json::to_vec(r).unwrap())
+        .collect();
+        FramedLog::at(&path).rewrite(payloads.iter().map(Vec::as_slice)).unwrap();
+
+        let replay = replay(&path).unwrap();
+        assert_eq!(replay.records.iter().map(|r| r.table).collect::<Vec<_>>(), vec![TableId(0), TableId(3)]);
+        assert_eq!(replay.corrupt_records, 2);
         assert!(!replay.torn_tail);
         fs::remove_file(&path).unwrap();
     }

@@ -324,7 +324,7 @@ impl RolloutController {
             self.lock().summary.rejected_artifacts += outcome.quarantined;
         }
         Ok(match outcome.loaded {
-            Some(candidate) => self.offer(candidate),
+            Some((_version, candidate)) => self.offer(candidate),
             None => false,
         })
     }

@@ -59,6 +59,18 @@ fn write_journal(path: &Path, records: &[JournalRecord]) {
     }
 }
 
+/// The journal bytes of the sample records, pinned by CRC32C at the commit
+/// before the stores moved onto `taste_core::durable` (the records hold
+/// no floats, so the pin does not depend on a JSON float formatter).
+#[test]
+fn journal_bytes_are_pinned() {
+    let path = temp_path("pinned");
+    write_journal(&path, &sample_records(4, 7));
+    let bytes = fs::read(&path).unwrap();
+    assert_eq!((bytes.len(), taste_core::checksum::crc32c(&bytes)), (1250, 0xf488_e823));
+    fs::remove_file(&path).unwrap();
+}
+
 /// The satellite requirement, literally: truncating a valid journal at
 /// EVERY byte offset must neither panic nor produce a record that was
 /// never written — replay always yields an exact prefix.
@@ -146,6 +158,9 @@ proptest! {
         fs::write(&path, &bytes).unwrap();
         let got = replay(&path).unwrap();
         prop_assert!(got.records.len() <= n);
+        // One flipped bit costs at most the record it lands in: a damaged
+        // header no longer discards the intact records behind it.
+        prop_assert!(got.records.len() >= n - 1, "{} of {n} records survived", got.records.len());
         for g in &got.records {
             let original = records.iter().find(|r| r.table == g.table);
             prop_assert_eq!(Some(g), original, "a surviving record must match what was written");

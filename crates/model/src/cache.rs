@@ -14,10 +14,10 @@
 //!
 //! A resumed detection run ([`save`](LatentCache::save) /
 //! [`restore`](LatentCache::restore)) can keep its P1 latents across a
-//! process death: entries are written as length-prefixed, CRC32C-framed
-//! records (see [`taste_core::checksum`]), so a torn write at process
-//! kill truncates cleanly and a bit-rotted entry is detected, skipped,
-//! and counted instead of silently skewing P2 inference. A record whose
+//! process death: entries are the records of a
+//! [`taste_core::durable::FramedLog`], so a torn write at process kill
+//! truncates cleanly and a bit-rotted entry is detected, skipped, and
+//! counted instead of silently skewing P2 inference. A record whose
 //! checksum holds is still outside input: it is shape- and
 //! finiteness-checked ([`CachedMeta::validate`]) before it is cached,
 //! because `predict_meta` / `predict_content` index straight into it.
@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
-use taste_core::checksum::{decode_record, encode_record, write_atomic, DecodeStep};
+use taste_core::durable::FramedLog;
 use taste_core::{Result, TableId, TasteError};
 use taste_nn::Matrix;
 
@@ -156,14 +156,12 @@ impl LatentCache {
         inner.misses = 0;
     }
 
-    /// Persists every cached entry to `path` as checksummed records,
-    /// durably ([`write_atomic`]: temp file, fsync, rename into place,
-    /// best-effort directory fsync) — so neither a crash mid-save nor a
-    /// power loss after it leaves a half-written cache under the real
-    /// name. Returns the number of entries written.
+    /// Persists every cached entry to `path` as one [`FramedLog`],
+    /// rewritten atomically — so neither a crash mid-save nor a power
+    /// loss after it leaves a half-written cache under the real name.
+    /// Returns the number of entries written.
     pub fn save(&self, path: &Path) -> Result<usize> {
-        let mut buf = Vec::new();
-        let mut written = 0usize;
+        let mut payloads = Vec::new();
         {
             let inner = self.inner.lock();
             // Insertion order keeps the file deterministic for a given
@@ -176,15 +174,13 @@ impl LatentCache {
                     layer_latents: value.layer_latents.clone(),
                     col_marker_pos: value.col_marker_pos.clone(),
                 };
-                let payload = serde_json::to_vec(&entry)
-                    .map_err(|e| TasteError::Serde(format!("cache entry encode: {e}")))?;
-                buf.extend_from_slice(&encode_record(&payload));
-                written += 1;
+                payloads.push(
+                    serde_json::to_vec(&entry).map_err(|e| TasteError::Serde(format!("cache entry encode: {e}")))?,
+                );
             }
         }
-        write_atomic(path, &path.with_extension("tmp"), &buf)
-            .map_err(|e| TasteError::Serde(format!("cache save {}: {e}", path.display())))?;
-        Ok(written)
+        FramedLog::at(path).rewrite(payloads.iter().map(Vec::as_slice))?;
+        Ok(payloads.len())
     }
 
     /// Restores entries persisted by [`save`](LatentCache::save) into
@@ -195,44 +191,24 @@ impl LatentCache {
     /// entry that fails [`CachedMeta::validate`] are quarantined —
     /// skipped and counted in [`CacheRestoreStats::corrupt`] — and a torn
     /// tail stops the restore at the last whole record. Neither is an
-    /// error: a
-    /// restored cache is an optimization, and P2 recomputes any latent
-    /// that did not survive.
+    /// error: a restored cache is an optimization, and P2 recomputes any
+    /// latent that did not survive.
     pub fn restore(&self, path: &Path) -> Result<CacheRestoreStats> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| TasteError::Serde(format!("cache read {}: {e}", path.display())))?;
-        let mut stats = CacheRestoreStats::default();
-        let mut at = 0usize;
-        while at < bytes.len() {
-            match decode_record(&bytes[at..]) {
-                DecodeStep::Record { payload, consumed } => {
-                    at += consumed;
-                    // Checksum-valid but undecodable or malformed: written
-                    // by an incompatible version, or by something that is
-                    // not this program. Quarantine it too.
-                    let entry = serde_json::from_slice::<PersistedEntry>(payload).ok().map(|e| {
-                        let meta = CachedMeta { layer_latents: e.layer_latents, col_marker_pos: e.col_marker_pos };
-                        ((TableId(e.table), e.chunk), meta)
-                    });
-                    match entry {
-                        Some((key, meta)) if meta.validate().is_ok() => {
-                            self.put(key, Arc::new(meta));
-                            stats.loaded += 1;
-                        }
-                        _ => stats.corrupt += 1,
-                    }
-                }
-                DecodeStep::CorruptPayload { consumed } => {
-                    at += consumed;
-                    stats.corrupt += 1;
-                }
-                DecodeStep::TornTail => {
-                    stats.torn_tail = true;
-                    break;
-                }
+        let mut loaded = 0;
+        // Checksum-valid but undecodable or malformed: written by an
+        // incompatible version, or by something that is not this program.
+        // Quarantine it too.
+        let scan = FramedLog::at(path).scan(false, |payload| {
+            let Ok(e) = serde_json::from_slice::<PersistedEntry>(payload) else { return false };
+            let meta = CachedMeta { layer_latents: e.layer_latents, col_marker_pos: e.col_marker_pos };
+            if meta.validate().is_err() {
+                return false;
             }
-        }
-        Ok(stats)
+            self.put((TableId(e.table), e.chunk), Arc::new(meta));
+            loaded += 1;
+            true
+        })?;
+        Ok(CacheRestoreStats { loaded, corrupt: scan.corrupt as usize, torn_tail: scan.torn_bytes > 0 })
     }
 }
 
@@ -259,6 +235,7 @@ pub struct CacheRestoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taste_core::checksum::encode_record;
 
     fn entry(n: usize) -> Arc<CachedMeta> {
         Arc::new(CachedMeta {
@@ -345,6 +322,23 @@ mod tests {
             assert_eq!(got.layer_latents, want.layer_latents);
             assert_eq!(got.col_marker_pos, want.col_marker_pos);
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The saved bytes of a fixed cache, pinned by CRC32C at the commit
+    /// before the stores moved onto `taste_core::durable`.
+    #[test]
+    fn saved_bytes_are_pinned() {
+        let path = temp_path("pinned");
+        let cache = LatentCache::new(8);
+        for i in 0..3u32 {
+            let layer = |k: f32| Matrix::full(1 + i as usize, 2, k * 0.25 - 0.5);
+            let meta = CachedMeta { layer_latents: vec![layer(i as f32), layer(i as f32 + 1.0)], col_marker_pos: vec![0, i as usize] };
+            cache.put((TableId(10 + i), i), Arc::new(meta));
+        }
+        assert_eq!(cache.save(&path).unwrap(), 3);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), taste_core::checksum::crc32c(&bytes)), (527, 0x8c77_1bdb));
         std::fs::remove_file(&path).ok();
     }
 

@@ -64,6 +64,6 @@ pub use cache::{CacheRestoreStats, LatentCache};
 pub use config::ModelConfig;
 pub use infer::Inferencer;
 pub use prepare::{ModelInput, TableChunk};
-pub use registry::{ModelRegistry, RegistryLoadOutcome, VersionedModel};
+pub use registry::{ModelRegistry, VersionedModel};
 pub use resilience::{FaultInjection, TrainResilience};
 pub use trainer::{TrainConfig, TrainReport};

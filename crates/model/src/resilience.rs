@@ -175,7 +175,7 @@ impl ResilienceDriver {
     ) -> Result<Option<(TrainProgress, u64)>, TasteError> {
         let Some(cs) = &self.store else { return Ok(None) };
         let outcome = cs.load_latest()?;
-        let Some((ck, _path)) = outcome.loaded else { return Ok(None) };
+        let Some((_step, ck)) = outcome.loaded else { return Ok(None) };
         self.check_progress(&ck.progress)?;
         Ok(Some((ck.restore(params, opt)?, outcome.quarantined)))
     }

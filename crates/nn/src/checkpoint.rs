@@ -23,23 +23,16 @@
 //! tolerance for non-finite moments without inventing an encoding.
 //! Any torn tail, bit flip, wrong tag, or directory/blob disagreement
 //! decodes to [`TasteError::Corrupt`] — never a panic — so the loader
-//! can quarantine the file and fall back to an older checkpoint.
-//!
-//! # Atomicity
-//!
-//! [`TrainCheckpoint::write_atomic`] writes to a sibling temp file,
-//! fsyncs it, renames it over the target, and fsyncs the directory
-//! (best effort), so a crash mid-save leaves either the old checkpoint
-//! or the new one — never a half-written hybrid under the real name.
+//! ([`taste_core::durable::VersionedDir`], which owns all file I/O) can
+//! quarantine the file and fall back to an older checkpoint.
 
 use crate::guard::{AnomalyDetector, TrainingHealth};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 use crate::params::ParamStore;
 use serde::{Deserialize, Serialize};
-use std::fs;
 use std::path::{Path, PathBuf};
-use taste_core::checksum::{decode_record, encode_record, write_atomic, DecodeStep};
+use taste_core::durable::{self, Newest, VersionedDir};
 use taste_core::rng::SplitMix64Rng;
 use taste_core::TasteError;
 
@@ -49,9 +42,6 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 const FORMAT_TAG: &str = "taste-train-ckpt";
 /// Extension of live checkpoint files (`ckpt-<step>.tck`).
 pub const FILE_EXT: &str = "tck";
-const TEMP_EXT: &str = "tck.tmp";
-/// Extension corrupt checkpoints are renamed to when quarantined.
-pub const QUARANTINE_EXT: &str = "tck.corrupt";
 
 /// Where a training loop is in its epoch/batch/RNG stream.
 ///
@@ -249,9 +239,7 @@ impl TrainCheckpoint {
                 push_f32s(&mut blob, v.as_slice());
             }
         }
-        let mut out = encode_record(&manifest_json);
-        out.extend_from_slice(&encode_record(&blob));
-        out
+        durable::frame_all([&manifest_json[..], &blob[..]])
     }
 
     /// Decodes a checkpoint from bytes.
@@ -261,28 +249,10 @@ impl TrainCheckpoint {
     /// unknown format tag or version, or directory/blob disagreement.
     /// Never panics on malformed input.
     pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, TasteError> {
-        let (manifest_bytes, used) = take_record(bytes, "manifest")?;
+        let (manifest_bytes, blob) = durable::split_artifact(bytes, "checkpoint")?;
         let manifest: Manifest = serde_json::from_slice(manifest_bytes)
             .map_err(|e| TasteError::corrupt(format!("checkpoint manifest: {e}")))?;
-        if manifest.format != FORMAT_TAG {
-            return Err(TasteError::corrupt(format!(
-                "not a training checkpoint (format tag {:?})",
-                manifest.format
-            )));
-        }
-        if manifest.version != CHECKPOINT_VERSION {
-            return Err(TasteError::corrupt(format!(
-                "unsupported checkpoint version {} (this build reads {})",
-                manifest.version, CHECKPOINT_VERSION
-            )));
-        }
-        let (blob, blob_used) = take_record(&bytes[used..], "blob")?;
-        if used + blob_used != bytes.len() {
-            return Err(TasteError::corrupt(format!(
-                "{} trailing bytes after checkpoint records",
-                bytes.len() - used - blob_used
-            )));
-        }
+        durable::check_format("training checkpoint", (&manifest.format, manifest.version), (FORMAT_TAG, CHECKPOINT_VERSION))?;
         let mut off = 0usize;
         let mut params = Vec::with_capacity(manifest.dir.len());
         for e in &manifest.dir {
@@ -305,41 +275,21 @@ impl TrainCheckpoint {
         Ok(TrainCheckpoint { opt: manifest.opt, progress: manifest.progress, params })
     }
 
-    /// Writes the checkpoint durably: temp file, fsync, rename over
-    /// `path`, best-effort directory fsync.
-    ///
-    /// # Errors
-    /// [`TasteError::Serde`] wrapping the underlying I/O failure.
+    /// Replaces the file at `path` with this checkpoint ([`durable::write_atomic`]).
     pub fn write_atomic(&self, path: &Path) -> Result<(), TasteError> {
-        write_atomic(path, &path.with_extension(TEMP_EXT), &self.encode())
-            .map_err(|e| TasteError::Serde(format!("checkpoint {}: {e}", path.display())))
+        durable::write_atomic(path, &self.encode())
     }
 
-    /// Reads and decodes a checkpoint file.
-    ///
-    /// # Errors
-    /// [`TasteError::Serde`] on I/O failure, [`TasteError::Corrupt`] on
-    /// a damaged file.
+    /// Reads and decodes a checkpoint file: [`TasteError::Serde`] on I/O
+    /// failure, [`TasteError::Corrupt`] on a damaged file.
     pub fn read(path: &Path) -> Result<TrainCheckpoint, TasteError> {
-        let bytes = fs::read(path)
-            .map_err(|e| TasteError::Serde(format!("checkpoint {}: {e}", path.display())))?;
-        TrainCheckpoint::decode(&bytes)
+        TrainCheckpoint::decode(&durable::read(path)?)
     }
 }
 
 fn push_f32s(blob: &mut Vec<u8>, values: &[f32]) {
     for v in values {
         blob.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn take_record<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a [u8], usize), TasteError> {
-    match decode_record(bytes) {
-        DecodeStep::Record { payload, consumed } => Ok((payload, consumed)),
-        DecodeStep::CorruptPayload { .. } => {
-            Err(TasteError::corrupt(format!("checkpoint {what} failed its checksum")))
-        }
-        DecodeStep::TornTail => Err(TasteError::corrupt(format!("torn checkpoint {what} record"))),
     }
 }
 
@@ -385,33 +335,19 @@ impl CheckpointPolicy {
     }
 }
 
-/// A rotating directory of checkpoint files with corrupt-file
-/// quarantine: files are named by step, saves prune beyond
-/// `keep_last_k`, and loads walk newest-first, renaming any file that
-/// fails to decode to `*.tck.corrupt` and falling back to the next.
+/// A rotating directory of checkpoint files `ckpt-<step>.tck`: saves
+/// prune beyond `keep_last_k`, loads return the newest file that decodes
+/// and quarantine corrupt ones as `*.tck.corrupt` on the way.
 #[derive(Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    dir: VersionedDir,
     policy: CheckpointPolicy,
-}
-
-/// What [`CheckpointStore::load_latest`] found.
-pub struct LoadOutcome {
-    /// The newest checkpoint that decoded cleanly, with its path.
-    pub loaded: Option<(TrainCheckpoint, PathBuf)>,
-    /// Corrupt files quarantined while searching.
-    pub quarantined: u64,
 }
 
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory.
-    ///
-    /// # Errors
-    /// [`TasteError::Serde`] when the directory cannot be created.
     pub fn new(dir: &Path, policy: CheckpointPolicy) -> Result<CheckpointStore, TasteError> {
-        fs::create_dir_all(dir)
-            .map_err(|e| TasteError::Serde(format!("checkpoint dir {}: {e}", dir.display())))?;
-        Ok(CheckpointStore { dir: dir.to_owned(), policy })
+        Ok(CheckpointStore { dir: VersionedDir::open(dir, "ckpt", FILE_EXT)?, policy })
     }
 
     /// The configured cadence/retention policy.
@@ -421,70 +357,22 @@ impl CheckpointStore {
 
     /// The file path a checkpoint at `step` is stored under.
     pub fn path_for(&self, step: u64) -> PathBuf {
-        self.dir.join(format!("ckpt-{step:012}.{FILE_EXT}"))
-    }
-
-    /// Checkpoint files present, as `(step, path)` sorted by step.
-    fn list(&self) -> Vec<(u64, PathBuf)> {
-        let Ok(entries) = fs::read_dir(&self.dir) else { return Vec::new() };
-        let mut found: Vec<(u64, PathBuf)> = entries
-            .flatten()
-            .filter_map(|e| {
-                let path = e.path();
-                let name = path.file_name()?.to_str()?;
-                let step: u64 = name
-                    .strip_prefix("ckpt-")?
-                    .strip_suffix(&format!(".{FILE_EXT}"))?
-                    .parse()
-                    .ok()?;
-                Some((step, path))
-            })
-            .collect();
-        found.sort_unstable_by_key(|(step, _)| *step);
-        found
+        self.dir.path_for(step)
     }
 
     /// Saves a checkpoint under its step's file name and prunes files
     /// beyond `keep_last_k`.
-    ///
-    /// # Errors
-    /// [`TasteError::Serde`] on I/O failure.
     pub fn save(&self, checkpoint: &TrainCheckpoint) -> Result<PathBuf, TasteError> {
-        let path = self.path_for(checkpoint.progress.step);
-        checkpoint.write_atomic(&path)?;
-        let mut files = self.list();
-        while files.len() > self.policy.keep_last_k.max(1) {
-            let (_, old) = files.remove(0);
-            let _ = fs::remove_file(old);
-        }
+        let path = self.dir.publish(checkpoint.progress.step, &checkpoint.encode())?;
+        self.dir.prune(self.policy.keep_last_k)?;
         Ok(path)
     }
 
-    /// Loads the newest intact checkpoint, quarantining corrupt files
-    /// encountered on the way (renamed to `*.{QUARANTINE_EXT}` so they
-    /// are kept for inspection but never retried).
-    ///
-    /// # Errors
-    /// Never fails on corrupt *contents* — that is the fallback path,
-    /// and it surfaces nothing when no intact checkpoint exists. A file
-    /// that cannot be *read* is a different matter: it may be intact, so
-    /// the I/O error is returned, nothing is renamed, and no older
-    /// checkpoint is silently loaded in its place.
-    pub fn load_latest(&self) -> Result<LoadOutcome, TasteError> {
-        let mut quarantined = 0;
-        for (_, path) in self.list().into_iter().rev() {
-            match TrainCheckpoint::read(&path) {
-                Ok(checkpoint) => {
-                    return Ok(LoadOutcome { loaded: Some((checkpoint, path)), quarantined })
-                }
-                Err(TasteError::Corrupt(_)) => {
-                    let _ = fs::rename(&path, path.with_extension(QUARANTINE_EXT));
-                    quarantined += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(LoadOutcome { loaded: None, quarantined })
+    /// Loads the newest checkpoint [`TrainCheckpoint::decode`] accepts, as
+    /// `(step, checkpoint)` ([`VersionedDir::load_newest`]: corrupt files
+    /// are quarantined, an unreadable one is an error that renames nothing).
+    pub fn load_latest(&self) -> Result<Newest<TrainCheckpoint>, TasteError> {
+        self.dir.load_newest(|_, bytes| TrainCheckpoint::decode(bytes))
     }
 }
 
@@ -555,76 +443,72 @@ mod tests {
 
     #[test]
     fn wrong_tag_and_version_are_corrupt() {
-        let mut bytes = encode_record(br#"{"format":"not-a-checkpoint"}"#);
-        bytes.extend_from_slice(&encode_record(b""));
+        let bytes = durable::frame_all([&br#"{"format":"not-a-checkpoint"}"#[..], &b""[..]]);
         assert!(matches!(TrainCheckpoint::decode(&bytes), Err(TasteError::Corrupt(_))));
-        let garbage = encode_record(b"\x00\x01\x02");
+        let garbage = durable::frame_all([&b"\x00\x01\x02"[..]]);
         assert!(matches!(TrainCheckpoint::decode(&garbage), Err(TasteError::Corrupt(_))));
     }
 
+    /// The on-disk bytes of a fixed state, pinned by CRC32C at the commit
+    /// before the stores moved onto `taste_core::durable`. Every float is
+    /// a dyadic rational in plain-decimal range, so any shortest-round-trip
+    /// JSON float formatter writes the same manifest.
     #[test]
-    fn rotation_prunes_and_load_picks_newest() {
-        let dir = std::env::temp_dir().join(format!("taste-ckpt-rot-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cs = CheckpointStore::new(&dir, CheckpointPolicy { every_n_steps: 1, keep_last_k: 2 }).unwrap();
+    fn encoded_bytes_are_pinned() {
+        let mut store = ParamStore::new(0);
+        let w = store.constant("enc.w", 2, 3, 0.25);
+        store.constant("head.b", 1, 2, -1.5);
+        store.restore_adam_moments(w, Matrix::full(2, 3, 0.5), Matrix::full(2, 3, 0.125)).unwrap();
+        let cfg = AdamConfig { lr: 0.5, beta1: 0.5, beta2: 0.75, eps: 0.125, weight_decay: 0.0, clip_norm: 2.0 };
+        let opt = Adam::new(cfg, LrSchedule::LinearWarmupDecay { warmup: 4, total: 40 });
+        let mut progress = TrainProgress::fresh(4, 7);
+        progress.record_loss(0.75);
+        progress.advance(2);
+        let bytes = TrainCheckpoint::capture(&store, &opt, &progress).encode();
+        assert_eq!((bytes.len(), taste_core::checksum::crc32c(&bytes)), (874, 0x5895_7fff));
+    }
+
+    fn temp_store(tag: &str, policy: CheckpointPolicy) -> (std::path::PathBuf, CheckpointStore) {
+        let dir = std::env::temp_dir().join(format!("taste-ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir, policy).unwrap();
+        (dir, store)
+    }
+
+    /// The store's wiring onto `VersionedDir` (whose own behaviour
+    /// `taste_core::durable`'s suite covers): file names, pruning by
+    /// `keep_last_k`, and `TrainCheckpoint::decode` as the decoder
+    /// `load_newest` runs — the newest file here is two CRC-valid records
+    /// that only `decode`'s tag check can refuse.
+    #[test]
+    fn store_names_prunes_and_loads_through_decode() {
+        let (dir, cs) = temp_store("wiring", CheckpointPolicy { every_n_steps: 1, keep_last_k: 2 });
         let (store, opt, mut progress) = toy_state();
         for step in [5, 10, 15] {
             progress.step = step;
             cs.save(&TrainCheckpoint::capture(&store, &opt, &progress)).unwrap();
         }
-        assert_eq!(cs.list().len(), 2, "oldest file pruned");
-        let outcome = cs.load_latest().unwrap();
-        let (ck, path) = outcome.loaded.unwrap();
-        assert_eq!(ck.progress.step, 15);
-        assert_eq!(path, cs.path_for(15));
-        assert_eq!(outcome.quarantined, 0);
-        let _ = fs::remove_dir_all(&dir);
+        assert!(!dir.join("ckpt-000000000005.tck").exists(), "oldest file pruned");
+        assert!(dir.join("ckpt-000000000010.tck").exists());
+        assert_eq!(cs.path_for(15), dir.join("ckpt-000000000015.tck"));
+        assert_eq!(cs.load_latest().unwrap().loaded.unwrap().0, 15);
+
+        let foreign = durable::frame_all([&br#"{"format":"not-a-checkpoint"}"#[..], &b""[..]]);
+        std::fs::write(cs.path_for(15), foreign).unwrap();
+        let found = cs.load_latest().unwrap();
+        let (step, ck) = found.loaded.unwrap();
+        assert_eq!((step, ck.progress.step, found.quarantined), (10, 10, 1));
+        assert!(dir.join("ckpt-000000000015.tck.corrupt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A checkpoint directory that cannot be listed is an error: reading it
+    /// as "no checkpoints" would make `fit` restart a live run from step 0.
     #[test]
-    fn corrupt_newest_falls_back_and_quarantines() {
-        let dir = std::env::temp_dir().join(format!("taste-ckpt-quar-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cs = CheckpointStore::new(&dir, CheckpointPolicy::default()).unwrap();
-        let (store, opt, mut progress) = toy_state();
-        for step in [10, 20] {
-            progress.step = step;
-            cs.save(&TrainCheckpoint::capture(&store, &opt, &progress)).unwrap();
-        }
-        // Flip one bit in the newest file.
-        let newest = cs.path_for(20);
-        let mut bytes = fs::read(&newest).unwrap();
-        let at = bytes.len() / 2;
-        bytes[at] ^= 0x10;
-        fs::write(&newest, &bytes).unwrap();
-
-        let outcome = cs.load_latest().unwrap();
-        let (ck, _) = outcome.loaded.unwrap();
-        assert_eq!(ck.progress.step, 10, "fell back to the previous good checkpoint");
-        assert_eq!(outcome.quarantined, 1);
-        assert!(!newest.exists(), "corrupt file renamed away");
-        assert!(newest.with_extension(QUARANTINE_EXT).exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unreadable_newest_is_an_error_not_a_quarantine() {
-        let dir = std::env::temp_dir().join(format!("taste-ckpt-eio-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cs = CheckpointStore::new(&dir, CheckpointPolicy::default()).unwrap();
-        let (store, opt, mut progress) = toy_state();
-        progress.step = 10;
-        let older = cs.save(&TrainCheckpoint::capture(&store, &opt, &progress)).unwrap();
-        // A directory under the newest checkpoint's name: `fs::read` fails
-        // with an I/O error that says nothing about the bytes.
-        let newest = cs.path_for(20);
-        fs::create_dir(&newest).unwrap();
-
+    fn unlistable_directory_is_an_error_not_an_empty_store() {
+        let (dir, cs) = temp_store("unlistable", CheckpointPolicy::default());
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(matches!(cs.load_latest(), Err(TasteError::Serde(_))));
-        assert!(newest.is_dir(), "nothing renamed");
-        assert!(!newest.with_extension(QUARANTINE_EXT).exists());
-        assert!(TrainCheckpoint::read(&older).is_ok(), "older checkpoint untouched");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
