@@ -1,6 +1,6 @@
 # Convenience targets for the TASTE reproduction workspace.
 
-.PHONY: verify build test clippy examples crash-resume train-resume repro overload-sweep swap-bench perf-smoke sched-1core loc
+.PHONY: verify build test clippy examples crash-resume train-resume repro overload-sweep swap-bench perf-smoke perf-pairs sched-1core loc
 
 # The one gate every change must pass.
 verify:
@@ -78,3 +78,13 @@ perf-smoke:
 	cargo run --release --quiet $(PERF) --bin perf -- run --workload wiki_local --smoke --seconds 5 --trace 1
 	cargo run --release --quiet $(PERF) --bin perf -- run --workload wiki_local_batched --smoke --seconds 5 --trace 1
 	cargo run --release --quiet $(PERF) --bin perf -- run --workload wiki_cloud --smoke --seconds 5 --trace 1
+
+# The measurement protocol of a change that claims a gain (or has to show
+# it moved nothing): N alternating 20 s pairs of a parent checkout's perf
+# binary against this one's on seeds 11.., odd seeds parent first; prints
+# every run, both medians, the parent's interquartile distance and the win
+# count. `make perf-pairs WORKLOAD=wiki_cloud PARENT=../parent [N=10] [SECONDS=20]`
+N ?= 10
+SECONDS ?= 20
+perf-pairs:
+	@scripts/perf-pairs.sh "$(WORKLOAD)" "$(PARENT)" $(N) $(SECONDS)

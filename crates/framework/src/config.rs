@@ -206,7 +206,10 @@ pub struct TasteConfig {
     /// Pipelined execution (§5); disabling reproduces *TASTE w/o
     /// pipelining* (pure sequential mode).
     pub pipelining: bool,
-    /// Worker threads per pool (TP1 and TP2 each; paper experiment: 2).
+    /// Compute width: inference workers in TP2 (paper experiment: 2).
+    /// The prep pool TP1 waits on the database rather than computing, so
+    /// it is not sized by this: it keeps `max(pool_size, 8)` workers, one
+    /// connection each, in flight.
     pub pool_size: usize,
     /// Whether histogram metadata features are consumed (*TASTE with
     /// histogram*; requires a model trained with them).

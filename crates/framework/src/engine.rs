@@ -1,11 +1,17 @@
 //! The batch detection engine: sequential mode and the Algorithm 1
 //! pipelined scheduler (§5), hardened for crash-safe detection runs.
 //!
-//! Pipelined mode builds two worker pools — `TP1` for data-preparation
-//! stages (each worker owns one reused database connection, per the
-//! paper's batching guidance) and `TP2` for inference stages, each worker
-//! owning a long-lived [`Inferencer`] whose scratch buffers persist
-//! across every table it serves — and runs **one** scheduler loop,
+//! Pipelined mode builds two worker pools of different widths — `TP1` for
+//! data-preparation stages (each worker owns one reused database
+//! connection, per the paper's batching guidance) and `TP2` for inference
+//! stages, each worker owning a long-lived [`Inferencer`] whose scratch
+//! buffers persist across every table it serves. TP2 is compute and is
+//! `pool_size` wide. A prep stage is a wait on someone else's database, so
+//! TP1 is sized by how many waits to keep in flight, not by cores: eight,
+//! or `pool_size` where that is larger — a constant beside the catalog
+//! group cap in [`crate::stages`], a budget on the database's connections
+//! that only a [`LoadController`] may shrink. The engine runs **one**
+//! scheduler loop,
 //! [`schedule`], over one stage queue holding the four stages of every
 //! admitted table in order. Each pass dispatches the *first runnable*
 //! prep stage to a free TP1 worker and hands runnable inference stages to
@@ -28,12 +34,13 @@
 //! it:
 //!
 //! * **No [`LoadController`]** (`overload.enabled` off): every table is
-//!   admitted up front, both pools may run `pool_size` stages at once,
-//!   and the shed pass, the queue-wait observation and the
-//!   connection-budget follow-up are skipped. With one, tables enter the
-//!   queue as in-flight slots free — so a catalog group is whatever the
-//!   admission window has promoted — the TP1/TP2 limits follow the AIMD
-//!   governor, and P2 work is shed cheapest-first under pressure.
+//!   admitted up front, each pool may run its full width of stages at
+//!   once (TP1's I/O depth, TP2's `pool_size`), and the shed pass, the
+//!   queue-wait observation and the connection-budget follow-up are
+//!   skipped. With one, tables enter the queue as in-flight slots free —
+//!   so a catalog group is whatever the admission window has promoted —
+//!   the TP1/TP2 limits follow the AIMD governor, and P2 work is shed
+//!   cheapest-first under pressure.
 //! * **No [`BatchPlanner`]** (`batching.enabled` off): the first
 //!   runnable inference stage goes to a free TP2 worker at once, as a
 //!   batch of one. With one, every runnable inference stage joins the
@@ -55,8 +62,8 @@
 //! the retry policy, scatter.
 //!
 //! ```text
-//!   admission ──→ stage queue ──→ TP1 (prep pool)             TP2 (inference pool)
-//!   (all at once,  4 stages      ┌──────────────────────┐
+//!   admission ──→ stage queue ──→ TP1 (prep pool, 8 deep)     TP2 (inference pool,
+//!   (all at once,  4 stages      ┌──────────────────────┐          pool_size wide)
 //!    or as slots   per table,    │ P1Prep [A, B, C]     │     ┌────────────────────────┐
 //!    free)         in order      │  one catalog read,   │ ──→ │ P1Infer  [A ++ B ++ C] │
 //!                                │  ≤ 16 tables         │     └───────────┬────────────┘
@@ -111,7 +118,7 @@ use crate::retry::{acquire_with_retry, connect_with_retry, run_with_retry, Circu
 use crate::rollout::{CanaryObservation, Pinned, RolloutController};
 use crate::stages::{
     catalog_group_cap, infer_phase1, infer_phase2, prep_phase1, prep_phase2, shed_finals,
-    table_not_found, P1Infer, P1Item, P1Prep, P2Item, P2Prep,
+    table_not_found, tp1_depth, P1Infer, P1Item, P1Prep, P2Item, P2Prep,
 };
 use crate::watchdog::{CancelReason, CancelToken, StageClocks, TableDeadlines, Wakeup, Watchdog};
 use crossbeam::channel::{unbounded, Sender};
@@ -365,8 +372,9 @@ impl TasteEngine {
         let ledger_before = db.ledger().snapshot();
         let clocks = Arc::new(StageClocks::new(tables.len()));
         let overload_on = self.config.overload.enabled && self.config.pipelining;
+        let pool = self.config.pool_size;
         let controller =
-            overload_on.then(|| Arc::new(LoadController::new(self.config.overload, self.config.pool_size)));
+            overload_on.then(|| Arc::new(LoadController::new(self.config.overload, tp1_depth(pool), pool)));
         let deadlines = (overload_on && self.config.overload.deadline.is_some())
             .then(|| Arc::new(TableDeadlines::new(tables.len())));
         let wake = Arc::new(Wakeup::new());
@@ -528,43 +536,53 @@ impl TasteEngine {
     ) -> Result<Vec<Shared>> {
         let states = self.new_states(tables);
         let pool = self.config.pool_size;
+        let depth = tp1_depth(pool);
 
-        // TP1: preparation workers. Each worker owns one reused
-        // connection; with overload control every worker instead draws
-        // from one shared FIFO connection pool whose limit the AIMD
-        // governor tunes at runtime. Either way a worker that cannot get
-        // a connection still drains jobs (with none), so prep stages
-        // degrade instead of deadlocking.
+        // TP1: preparation workers, `depth` of them — a prep stage is a
+        // wait on the database, so the pool is sized by how many waits to
+        // keep in flight, not by cores. Each worker owns one reused
+        // connection, opened as it starts; with overload control every
+        // worker instead draws from one shared FIFO connection pool whose
+        // limit the AIMD governor tunes at runtime. Either way a worker
+        // that cannot get a connection still drains jobs (with none), so
+        // prep stages degrade instead of deadlocking — and tries again
+        // for a connection at its next job.
         let (prep_tx, prep_rx) = unbounded::<PrepJob>();
         let tp1_active = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::with_capacity(pool * 2);
+        let mut handles = Vec::with_capacity(depth + pool);
         let retry_cfg = self.config.retry;
         let conn_pool = ctx.controller.as_ref().map(|_| {
             // Short acquire slices keep a saturated pool from stalling
             // the shedding loop; acquire_with_retry supplies the backoff.
             let slice = retry_cfg.stage_deadline.min(Duration::from_millis(50));
-            Arc::new(ConnectionPool::new(Arc::clone(db), pool.max(1), slice))
+            Arc::new(ConnectionPool::new(Arc::clone(db), depth, slice))
         });
-        for _ in 0..pool {
+        for _ in 0..depth {
             let rx = prep_rx.clone();
             let active = Arc::clone(&tp1_active);
             let wake = Arc::clone(&ctx.wake);
             let cpool = conn_pool.clone();
             let db = Arc::clone(db);
             handles.push(std::thread::spawn(move || {
-                let own = if cpool.is_none() { connect_with_retry(&db, &retry_cfg).ok() } else { None };
+                let connect = || connect_with_retry(&db, &retry_cfg).ok();
+                let mut own = if cpool.is_none() { connect() } else { None };
                 while let Ok(job) = rx.recv() {
                     match &cpool {
                         Some(cpool) => job(acquire_with_retry(cpool, &retry_cfg).ok().as_deref()),
-                        None => job(own.as_ref()),
+                        None => {
+                            // A failed start-up connect is not final.
+                            own = own.or_else(connect);
+                            job(own.as_ref())
+                        }
                     }
                     active.fetch_sub(1, Ordering::SeqCst);
                     wake.notify();
                 }
             }));
         }
-        // TP2: inference workers, each owning a long-lived inferencer
-        // whose scratch buffers persist across every table it serves.
+        // TP2: inference workers, `pool_size` of them (compute), each
+        // owning a long-lived inferencer whose scratch buffers persist
+        // across every table it serves.
         let (infer_tx, infer_rx) = unbounded::<InferJob>();
         let tp2_active = Arc::new(AtomicUsize::new(0));
         let exec_cfg = self.config.execution;
@@ -683,7 +701,7 @@ fn schedule(
                 e.since = Some(now);
             }
         }
-        let (mut tp1_limit, mut tp2_limit) = (ctx.cfg.pool_size, ctx.cfg.pool_size);
+        let (mut tp1_limit, mut tp2_limit) = (tp1_depth(ctx.cfg.pool_size), ctx.cfg.pool_size);
         if let Some(ctrl) = ctrl {
             // Follow the AIMD budgets.
             if let Some(cpool) = conn_pool {

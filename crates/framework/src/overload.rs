@@ -29,7 +29,11 @@
 //! 3. **Adaptive concurrency** — effective TP1/TP2 parallelism and the
 //!    per-database connection budget are tuned by AIMD: +1 worker per
 //!    `increase_every` clean stages, multiplicative cut on failure or
-//!    overload (at most once per `aimd_window`), clamped to
+//!    overload (at most once per `aimd_window`). The two pools have
+//!    different widths — TP2 is `pool_size` wide (compute), TP1 keeps
+//!    `max(pool_size, 8)` database waits in flight (I/O depth) — so the
+//!    TP1 limit and the connection budget are clamped to
+//!    `[min_workers, tp1_depth]` and the TP2 limit to
 //!    `[min_workers, pool_size]`. A throttling or degraded RDS therefore
 //!    narrows admission automatically instead of piling up retries.
 //! 4. **Brownout** — overload sustained for `brownout_after` flips a
@@ -60,8 +64,8 @@ const WAIT_HIST_BUCKETS: usize = 12;
 /// Overload-control policy knobs.
 ///
 /// Disabled by default (`enabled: false`): the scheduler loop then runs
-/// without a [`LoadController`] — every table is admitted at once, both
-/// pools may run `pool_size` stages, and nothing is shed. All duration
+/// without a [`LoadController`] — every table is admitted at once, each
+/// pool may run its full width of stages, and nothing is shed. All duration
 /// knobs are deliberately small — they gate *scheduler* decisions, not
 /// database I/O, and the simulated latency profiles operate at
 /// millisecond scale.
@@ -213,19 +217,24 @@ struct Inner {
 /// explicitly so tests can drive deterministic schedules.
 pub struct LoadController {
     cfg: OverloadConfig,
+    /// Ceiling of `tp1_limit` and `conn_limit`.
+    tp1_depth: usize,
+    /// Ceiling of `tp2_limit`.
     pool_size: usize,
     epoch: Instant,
     inner: Mutex<Inner>,
 }
 
 impl LoadController {
-    /// Creates a controller for a batch served by `pool_size`-worker
-    /// stage pools.
-    pub fn new(cfg: OverloadConfig, pool_size: usize) -> LoadController {
-        let start = pool_size.max(1);
+    /// Creates a controller for a batch served by a `tp1_depth`-worker
+    /// prep pool (one connection each) and a `pool_size`-worker inference
+    /// pool. Every limit starts at its pool's width.
+    pub fn new(cfg: OverloadConfig, tp1_depth: usize, pool_size: usize) -> LoadController {
+        let (tp1_depth, pool_size) = (tp1_depth.max(1), pool_size.max(1));
         LoadController {
             cfg,
-            pool_size: start,
+            tp1_depth,
+            pool_size,
             epoch: Instant::now(),
             inner: Mutex::new(Inner {
                 queued: 0,
@@ -244,9 +253,9 @@ impl LoadController {
                 brownout_admissions: 0,
                 probe_oks: 0,
                 transitions: Vec::new(),
-                tp1_limit: start,
-                tp2_limit: start,
-                conn_limit: start,
+                tp1_limit: tp1_depth,
+                tp2_limit: pool_size,
+                conn_limit: tp1_depth,
                 successes: 0,
                 last_decrease: None,
                 aimd_increases: 0,
@@ -256,8 +265,10 @@ impl LoadController {
         }
     }
 
-    fn floor(&self) -> usize {
-        self.cfg.min_workers.min(self.pool_size)
+    /// `v` brought into `[floor, ceil]`, the range of a limit whose pool is
+    /// `ceil` wide.
+    fn bounded(&self, v: usize, ceil: usize) -> usize {
+        v.clamp(self.cfg.min_workers.min(ceil), ceil)
     }
 
     /// Offers one table to the admission gate. Returns `true` when the
@@ -369,19 +380,18 @@ impl LoadController {
             // EWMA with 1/4 weight on the newest sample.
             s.p2_ewma = (s.p2_ewma * 3 + service) / 4;
         }
-        let floor = self.floor();
         if failed || s.overloaded {
             let due = match s.last_decrease {
                 None => true,
                 Some(t) => now.duration_since(t) >= self.cfg.aimd_window,
             };
             if due {
-                let cut = |v: usize| {
-                    (((v as f64) * self.cfg.decrease_ratio).floor() as usize).clamp(floor, self.pool_size)
+                let cut = |v: usize, ceil: usize| {
+                    self.bounded(((v as f64) * self.cfg.decrease_ratio).floor() as usize, ceil)
                 };
-                s.tp1_limit = cut(s.tp1_limit);
-                s.tp2_limit = cut(s.tp2_limit);
-                s.conn_limit = cut(s.conn_limit);
+                s.tp1_limit = cut(s.tp1_limit, self.tp1_depth);
+                s.tp2_limit = cut(s.tp2_limit, self.pool_size);
+                s.conn_limit = cut(s.conn_limit, self.tp1_depth);
                 s.last_decrease = Some(now);
                 s.successes = 0;
                 s.aimd_decreases += 1;
@@ -390,9 +400,9 @@ impl LoadController {
             s.successes += 1;
             if s.successes >= self.cfg.increase_every {
                 s.successes = 0;
-                s.tp1_limit = (s.tp1_limit + 1).min(self.pool_size);
+                s.tp1_limit = (s.tp1_limit + 1).min(self.tp1_depth);
                 s.tp2_limit = (s.tp2_limit + 1).min(self.pool_size);
-                s.conn_limit = (s.conn_limit + 1).min(self.pool_size);
+                s.conn_limit = (s.conn_limit + 1).min(self.tp1_depth);
                 s.aimd_increases += 1;
             }
         }
@@ -533,7 +543,7 @@ mod tests {
     #[test]
     fn admission_enforces_the_occupancy_bound() {
         let cfg = OverloadConfig { max_in_flight: 2, max_queued: 3, ..enabled_cfg() };
-        let c = LoadController::new(cfg, 2);
+        let c = LoadController::new(cfg, 2, 2);
         // Occupancy bound is 5: the first five offers queue, the rest
         // are rejected.
         for _ in 0..5 {
@@ -560,7 +570,7 @@ mod tests {
 
     #[test]
     fn codel_requires_sustained_standing_queue() {
-        let c = LoadController::new(enabled_cfg(), 2);
+        let c = LoadController::new(enabled_cfg(), 2, 2);
         let t0 = Instant::now();
         let slow = Duration::from_millis(8); // above the 5ms target
         // One slow sample: not overload.
@@ -587,7 +597,7 @@ mod tests {
             brownout_exit_probes: 2,
             ..enabled_cfg()
         };
-        let c = LoadController::new(cfg, 2);
+        let c = LoadController::new(cfg, 2, 2);
         let t0 = Instant::now();
         let slow = Duration::from_millis(9);
         // Drive sustained overload past brownout_after (50ms).
@@ -640,7 +650,7 @@ mod tests {
             aimd_window: Duration::from_millis(10),
             ..enabled_cfg()
         };
-        let c = LoadController::new(cfg, 4);
+        let c = LoadController::new(cfg, 4, 4);
         assert_eq!(c.tp1_limit(), 4);
         let t0 = Instant::now();
         // One failure halves the limits.
@@ -673,8 +683,32 @@ mod tests {
     }
 
     #[test]
+    fn each_limit_is_clamped_to_its_own_pool() {
+        // A one-core host: TP2 is one worker, TP1 keeps eight waits in
+        // flight. Cuts and growth move all three limits, each inside its
+        // own range; the floor of a pool narrower than `min_workers` is
+        // the pool.
+        let cfg = OverloadConfig { min_workers: 2, increase_every: 1, ..enabled_cfg() };
+        let c = LoadController::new(cfg, 8, 1);
+        let limits = || (c.tp1_limit(), c.conn_limit(), c.tp2_limit());
+        assert_eq!(limits(), (8, 8, 1));
+        let t0 = Instant::now();
+        let step = |i: u64, failed: bool| {
+            c.observe_stage(Duration::from_millis(1), failed, false, t0 + cfg.aimd_window * i as u32);
+            limits()
+        };
+        assert_eq!(step(0, true), (4, 4, 1));
+        assert_eq!(step(1, true), (2, 2, 1));
+        assert_eq!(step(2, true), (2, 2, 1), "floors: min_workers for TP1, the pool for TP2");
+        for i in 3..12 {
+            step(i, false);
+        }
+        assert_eq!(limits(), (8, 8, 1), "ceilings: the depth for TP1, pool_size for TP2");
+    }
+
+    #[test]
     fn shed_reason_ranks_brownout_pressure_then_deadline() {
-        let c = LoadController::new(enabled_cfg(), 2);
+        let c = LoadController::new(enabled_cfg(), 2, 2);
         let t0 = Instant::now();
         // Calm controller, no deadline: nothing to shed.
         assert_eq!(c.shed_reason(None, t0), None);
@@ -703,7 +737,7 @@ mod tests {
     #[test]
     fn summary_accounts_every_offer() {
         let cfg = OverloadConfig { max_in_flight: 1, max_queued: 1, ..enabled_cfg() };
-        let c = LoadController::new(cfg, 2);
+        let c = LoadController::new(cfg, 2, 2);
         assert!(c.offer()); // queued
         assert!(c.offer()); // queued (occupancy 2 = bound)
         assert!(!c.offer()); // rejected

@@ -59,6 +59,22 @@ pub struct P2Prep {
 /// path". A constant, not a knob: nobody should have to tune it.
 const CATALOG_GROUP_CAP: usize = 16;
 
+/// Database waits the prep pool keeps in flight however few cores the
+/// host has. A prep stage is a sleep on someone else's database, so its
+/// width is a budget on *their* connections, not on our cores; eight is
+/// what a polite catalog client takes (DESIGN, "I/O depth", has the
+/// sweep). A constant, not a knob: only the overload controller may
+/// shrink it, at run time.
+const TP1_IO_DEPTH: usize = 8;
+
+/// TP1's width — prep workers, their connections, and the ceiling of the
+/// controller's `tp1_limit` / `conn_limit` — for a `pool_size`-wide TP2.
+/// The one place the I/O depth and the compute width are combined; never
+/// narrower than `pool_size`, so no caller loses overlap it had.
+pub(crate) fn tp1_depth(pool_size: usize) -> usize {
+    pool_size.max(TP1_IO_DEPTH)
+}
+
 thread_local! {
     static GROUP_CAP_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
@@ -534,6 +550,18 @@ mod tests {
             for (a, b) in got.chunks.iter().zip(&want.chunks) {
                 assert_eq!((&a.ordinals, &a.nonmeta), (&b.ordinals, &b.nonmeta));
             }
+        }
+    }
+
+    #[test]
+    fn tp1_depth_is_where_the_two_widths_meet() {
+        use crate::overload::{LoadController, OverloadConfig};
+        for pool in 1..=20usize {
+            let depth = tp1_depth(pool);
+            assert_eq!(depth, pool.max(8), "the I/O depth, and never narrower than pool_size");
+            // The depth reaches TP1's limits only; TP2 stays pool_size.
+            let c = LoadController::new(OverloadConfig { enabled: true, ..Default::default() }, depth, pool);
+            assert_eq!((c.tp1_limit(), c.conn_limit(), c.tp2_limit()), (depth, depth, pool));
         }
     }
 

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use taste_core::{Cell, ColumnId, ColumnMeta, LabelSet, RawType, Table, TableId, TableMeta, TableOutcome, TasteError};
-use taste_db::{Database, FaultProfile, LatencyProfile};
+use taste_db::{Database, FaultDecision, FaultProfile, LatencyProfile};
 use taste_framework::retry::RetryConfig;
 use taste_framework::stages::with_catalog_group_cap;
 use taste_framework::{DetectionReport, HardeningConfig, OverloadConfig, TasteConfig, TasteEngine};
@@ -16,6 +16,10 @@ use taste_tokenizer::{Tokenizer, VocabBuilder};
 
 /// An id no fixture database holds.
 const MISSING: TableId = TableId(4242);
+
+/// TP1's width — workers, and so connections a batch opens — whenever
+/// `pool_size` is at most eight.
+const TP1_DEPTH: u64 = 8;
 
 fn tokenizer() -> Tokenizer {
     let mut b = VocabBuilder::new();
@@ -123,17 +127,101 @@ fn grouping_changes_the_query_count_and_nothing_else() {
 
 #[test]
 fn a_group_is_one_tp1_job_on_one_connection() {
-    // 16 tables, one read of 40 ms: with the group on one worker's
-    // connection the batch opens exactly `pool_size` connections, and the
-    // catalog costs one round trip of wall time, not sixteen.
+    // 16 tables, one read of 40 ms: the group rides one worker's
+    // connection, so the batch opens exactly one connection per TP1 worker
+    // (eight: the I/O depth, `pool_size` being smaller), and the catalog
+    // costs one round trip of wall time, not sixteen.
     let latency = LatencyProfile { query_rtt: Duration::from_millis(40), ..LatencyProfile::zero() };
     let (db, ids) = fixture_db(16, latency);
     let cfg = TasteConfig { pool_size: 2, ..TasteConfig::default().without_p2() };
     let report = engine(cfg).detect_batch(&db, &ids).unwrap();
-    assert_eq!(report.ledger.connections_opened, 2);
+    assert_eq!(report.ledger.connections_opened, TP1_DEPTH);
     assert_eq!(report.ledger.metadata_queries, 1);
     assert!(report.wall_time >= Duration::from_millis(40));
     assert!(report.wall_time < Duration::from_millis(16 * 40 / 2), "{:?}", report.wall_time);
+}
+
+#[test]
+fn one_core_still_overlaps_eight_scans() {
+    // pool_size 1 is one inference worker, not one connection: the 16
+    // scans of 20 ms go out eight at a time behind the one catalog read,
+    // ≈ 60 ms where a `pool_size`-wide TP1 took 16 × 20 + 20.
+    let rtt = Duration::from_millis(20);
+    let (db, ids) = fixture_db(16, LatencyProfile { query_rtt: rtt, ..LatencyProfile::zero() });
+    let sequential = engine(wide_band(false)).detect_batch(&db, &ids).unwrap();
+    let report = engine(TasteConfig { pool_size: 1, ..wide_band(true) }).detect_batch(&db, &ids).unwrap();
+    assert_same_verdicts(&sequential, &report, "depth 8 on one core vs sequential");
+    assert_eq!(report.ledger.connections_opened, TP1_DEPTH);
+    assert_eq!((report.ledger.metadata_queries, report.ledger.scan_queries), (1, 16));
+    assert!(report.wall_time >= 2 * rtt, "{:?}", report.wall_time);
+    // Optimized builds only (`make sched-1core` is one): unoptimized, the
+    // 32 forward passes on the one inference worker alone outlast the bound.
+    if !cfg!(debug_assertions) {
+        assert!(report.wall_time < 16 * rtt / 4, "{:?}", report.wall_time);
+    }
+}
+
+#[test]
+fn a_wider_pool_size_is_never_narrowed() {
+    let (db, ids) = fixture_db(16, LatencyProfile::zero());
+    let report = engine(TasteConfig { pool_size: 12, ..wide_band(true) }).detect_batch(&db, &ids).unwrap();
+    assert_eq!(report.ledger.connections_opened, 12);
+    assert!(report.tables.iter().all(|t| t.outcome == TableOutcome::Completed));
+}
+
+#[test]
+fn the_controller_narrows_the_depth_and_gives_it_back() {
+    // No queue pressure (a loaded test host must not shed), every table
+    // admitted at once: only an exhausted fault budget moves the limits.
+    let calm = OverloadConfig {
+        enabled: true,
+        max_in_flight: 64,
+        queue_target: Duration::from_secs(10),
+        ..OverloadConfig::default()
+    };
+    let cfg = TasteConfig { overload: calm, retry: fast_retry(), ..wide_band(true) };
+    let run = |db: &Arc<Database>, ids: &[TableId]| {
+        let report = engine(cfg).detect_batch(db, ids).unwrap();
+        assert_one_outcome_each(&report, ids);
+        // Whatever happened on the way, each limit ends at its own pool's
+        // width, and a connection is only ever re-opened into a slot the
+        // governor gave back: the pool's eight slots are the ceiling.
+        let s = &report.overload;
+        assert_eq!((s.final_tp1_limit, s.final_conn_limit, s.final_tp2_limit), (TP1_DEPTH, TP1_DEPTH, 2), "{s:?}");
+        assert!(report.ledger.connections_opened <= TP1_DEPTH + s.aimd_increases, "{s:?}");
+        report
+    };
+
+    // Undisturbed, with scans slow enough to pile up behind the pool:
+    // eight connections, never a ninth.
+    let (db, ids) = fixture_db(40, LatencyProfile { query_rtt: Duration::from_millis(30), ..LatencyProfile::zero() });
+    let report = run(&db, &ids);
+    assert_eq!(report.overload.aimd_decreases, 0);
+    assert_eq!(report.ledger.connections_opened, TP1_DEPTH);
+    assert!(report.tables.iter().all(|t| t.outcome == TableOutcome::Completed));
+
+    // One table's scan exhausts its retries: it degrades, the limits are
+    // cut once (8 → 4), and the clean stages that follow grow them back.
+    let (db, ids) = fixture_db(40, LatencyProfile::zero());
+    db.set_fault_profile(FaultProfile { seed: 5, scan_transient: 1.0, scan_target: Some(ids[0]), ..FaultProfile::none() });
+    let report = run(&db, &ids);
+    assert!(report.overload.aimd_decreases >= 1 && report.overload.aimd_increases >= 4, "{:?}", report.overload);
+    assert_eq!(report.tables[0].outcome, TableOutcome::Degraded);
+    assert!(report.tables[1..].iter().all(|t| t.outcome == TableOutcome::Completed));
+
+    // The first group's catalog read exhausts its four attempts (the
+    // seed's premise, checked on the same roll sequence the batch replays):
+    // its 16 tables fail, the other 24 complete, and the limits recover.
+    let profile = FaultProfile { seed: 30, meta_transient: 0.5, ..FaultProfile::none() };
+    db.set_fault_profile(profile);
+    let reset = |tid: TableId| db.faults().on_metadata(Some(tid)) != FaultDecision::Proceed;
+    assert!((0..4).all(|_| reset(ids[0])) && !reset(ids[16]) && !reset(ids[32]), "the seed's premise");
+    db.set_fault_profile(profile);
+    let report = run(&db, &ids);
+    assert!(report.overload.aimd_decreases >= 1 && report.overload.aimd_increases >= 4, "{:?}", report.overload);
+    for (i, tr) in report.tables.iter().enumerate() {
+        assert_eq!(tr.outcome, if i < 16 { TableOutcome::Failed } else { TableOutcome::Completed }, "table {i}");
+    }
 }
 
 /// A batch of 16 whose member `k` carries an id the catalog does not

@@ -6,8 +6,8 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use taste_core::{Cell, ColumnId, ColumnMeta, LabelSet, RawType, Table, TableId, TableMeta};
-use taste_db::{Database, FaultProfile, LatencyProfile};
+use taste_core::{Cell, ColumnId, ColumnMeta, LabelSet, RawType, Table, TableId, TableMeta, TableOutcome};
+use taste_db::{Database, FaultDecision, FaultProfile, LatencyProfile};
 use taste_framework::retry::RetryConfig;
 use taste_framework::stages::{infer_phase1, prep_phase1, P1Item};
 use taste_framework::{TasteConfig, TasteEngine};
@@ -229,4 +229,33 @@ fn transient_faults_below_budget_are_invisible_in_results() {
     for (a, b) in clean.tables.iter().zip(&flaky.tables) {
         assert_eq!(a.admitted, b.admitted, "absorbed faults must not change verdicts");
     }
+}
+
+#[test]
+fn a_worker_whose_startup_connect_failed_reconnects_at_its_next_job() {
+    // Connect rolls are indexed by attempt, whichever worker makes them:
+    // under this seed the very first fails — necessarily some TP1 worker's
+    // start-up connect — and the next 32 succeed. With one attempt per
+    // connect that worker starts the batch connectionless; the 3 catalog
+    // reads and 40 scans it shares with the other workers all succeed only
+    // if it tries again when a job reaches it.
+    let profile = FaultProfile { seed: 101, connect_fail: 0.05, ..FaultProfile::none() };
+    let (db, ids) = fixture_db(40);
+    db.set_fault_profile(profile);
+    let resets: Vec<bool> = (0..33).map(|_| db.faults().on_connect() != FaultDecision::Proceed).collect();
+    assert!(resets[0] && !resets[1..].contains(&true), "the seed's premise");
+    db.set_fault_profile(profile); // replay the sequence from its start
+
+    let retry = RetryConfig { max_attempts: 1, ..fast_retry() };
+    let report = TasteEngine::new(model(), wide_band_cfg(retry, true)).unwrap().detect_batch(&db, &ids).unwrap();
+    assert_eq!(report.tables.len(), ids.len());
+    for tr in &report.tables {
+        assert_eq!(tr.outcome, TableOutcome::Completed, "table {}", tr.table.0);
+        assert!(!tr.resilience.failed && !tr.resilience.degraded);
+        assert_eq!(tr.admitted.len(), tr.uncertain_columns, "wide band: P2 verdicts for every column");
+    }
+    // Only successful handshakes are counted: seven start-up connects,
+    // and the eighth worker's reconnect if a job ever reached it.
+    assert_eq!(report.ledger.failed_queries, 1, "the one reset handshake");
+    assert!((7..=8).contains(&report.ledger.connections_opened), "{}", report.ledger.connections_opened);
 }

@@ -127,17 +127,20 @@ fn admission_rejects_beyond_occupancy_and_accounts_every_table() {
 
 #[test]
 fn pressure_sheds_p2_to_p1_verdicts_and_beats_uncontrolled_goodput() {
-    // Offered load ≥ 2× capacity: 32 P2-heavy tables against pool_size 2
-    // with per-query latency, so the prep queue stands well above the
-    // CoDel target. The controlled run must shed P2 work (keeping P1
-    // verdicts), keep admitted tables inside their deadline at p99, and
-    // finish strictly more tables within the latency budget than the
-    // uncontrolled run.
+    // Offered load ≥ 2× capacity: 32 P2-heavy tables against the prep
+    // pool's eight connections with per-query latency, 24 of them in
+    // flight at once — three per connection, as six were for the two
+    // connections TP1 had when it was `pool_size` wide — so the prep queue
+    // stands well above the CoDel target. The controlled run must shed P2
+    // work (keeping P1 verdicts), keep admitted tables inside their
+    // deadline at p99, and finish strictly more tables within the latency
+    // budget than the uncontrolled run.
     // (The catalog rides one read per group of tables, so the load is the
-    // 32 content scans: at 12 ms each over two workers ≈ 190 ms, which the
-    // uncontrolled batch cannot fit into the 150 ms budget.)
+    // 32 content scans: at 32 ms each over eight workers they go out in
+    // four waves that end 64, 96, 128 and 160 ms into the batch, so the
+    // uncontrolled batch cannot fit its last wave into the 150 ms budget.)
     let latency = LatencyProfile {
-        query_rtt: Duration::from_millis(12),
+        query_rtt: Duration::from_millis(32),
         connect: Duration::from_millis(1),
         ..LatencyProfile::zero()
     };
@@ -155,7 +158,7 @@ fn pressure_sheds_p2_to_p1_verdicts_and_beats_uncontrolled_goodput() {
 
     let overload = OverloadConfig {
         enabled: true,
-        max_in_flight: 6,
+        max_in_flight: 24,
         max_queued: 64,
         deadline: Some(deadline),
         queue_target: Duration::from_millis(1),
@@ -172,7 +175,7 @@ fn pressure_sheds_p2_to_p1_verdicts_and_beats_uncontrolled_goodput() {
     assert!(on.tables.iter().all(|t| t.outcome.is_final()));
     assert_eq!(on.overload.submitted, 32);
     assert_eq!(on.overload.admitted, 32);
-    assert!(on.overload.queue_peak <= 4 * 6, "stage queue must stay bounded");
+    assert!(on.overload.queue_peak <= 4 * overload.max_in_flight as u64, "stage queue must stay bounded");
     assert!(on.overload.queue_wait_hist.is_some(), "dispatch waits feed the histogram");
 
     // The standing prep queue forces shedding; shed tables keep their

@@ -66,8 +66,10 @@ proptest! {
 
     /// Model-based check of every controller contract at every step:
     /// occupancy never exceeds `occupancy_bound`, in-flight never
-    /// exceeds `max_in_flight`, the AIMD limits stay inside
-    /// `[min(min_workers, pool_size), pool_size]`, the controller's
+    /// exceeds `max_in_flight`, each AIMD limit stays inside its own
+    /// pool's range — `tp1_limit` and `conn_limit` in
+    /// `[min(min_workers, depth), depth]`, `tp2_limit` in
+    /// `[min(min_workers, pool_size), pool_size]` — the controller's
     /// occupancy counters track a reference model exactly, and in
     /// brownout `p2_allowed` is granted only to probes.
     #[test]
@@ -76,10 +78,10 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
         prop_assert!(cfg.validate().is_ok());
-        let c = LoadController::new(cfg, pool_size);
+        // The prep pool's width as the engine derives it.
+        let depth = pool_size.max(8);
+        let c = LoadController::new(cfg, depth, pool_size);
         let bound = cfg.occupancy_bound();
-        let floor = cfg.min_workers.min(pool_size.max(1));
-        let ceil = pool_size.max(1);
         let epoch = Instant::now();
 
         // Reference model: what the counters must read at every step.
@@ -136,7 +138,8 @@ proptest! {
             prop_assert_eq!(c.in_flight(), in_flight.len());
             prop_assert!(c.in_flight() + c.queued() <= bound, "occupancy bound breached");
             prop_assert!(c.in_flight() <= cfg.max_in_flight);
-            for limit in [c.tp1_limit(), c.tp2_limit(), c.conn_limit()] {
+            for (limit, ceil) in [(c.tp1_limit(), depth), (c.conn_limit(), depth), (c.tp2_limit(), pool_size)] {
+                let floor = cfg.min_workers.min(ceil);
                 prop_assert!(
                     (floor..=ceil).contains(&limit),
                     "AIMD limit {} escaped [{}, {}]", limit, floor, ceil
@@ -171,7 +174,7 @@ proptest! {
             brownout_exit_probes: 1,
             ..OverloadConfig::default()
         };
-        let c = LoadController::new(cfg, 2);
+        let c = LoadController::new(cfg, 8, 2);
         let epoch = Instant::now();
         let mut t = Duration::ZERO;
         let mut exits = exits.into_iter();
@@ -218,7 +221,7 @@ proptest! {
         extra in 0usize..10,
     ) {
         let cfg = OverloadConfig { enabled: true, max_in_flight, max_queued, ..OverloadConfig::default() };
-        let c = LoadController::new(cfg, 2);
+        let c = LoadController::new(cfg, 8, 2);
         let bound = cfg.occupancy_bound();
         let mut accepted = 0;
         for _ in 0..bound + extra {
